@@ -7,11 +7,10 @@ GOFMT ?= gofmt
 
 # Every package whose tests exercise goroutines or whose code runs
 # under shared locks: the root benchmarks, the lock algorithms and
-# their core feedback state, the sharded KV layer (including the
-# flat-combining pipeline), the storage engines the shard locks guard,
-# the workload/stats/harness/db plumbing the benches drive, and the
-# discrete-event kernel (goroutine-backed simulated threads) with the
-# AMP cost model that runs on it.
+# their core feedback state, the sharded KV layer, the storage engines
+# the shard locks guard, the workload/stats/harness/db plumbing the
+# benches drive, and the discrete-event kernel (goroutine-backed
+# simulated threads) with the AMP cost model that runs on it.
 RACE_PKGS = . \
 	./internal/core \
 	./internal/locks \
@@ -38,7 +37,7 @@ RACE_PKGS = . \
 # no-op when nothing changed).
 REPOLINT = bin/repolint
 
-.PHONY: check build vet lint lint-test fmt-check test short race ci bench bench-json net-smoke wal-smoke soak FORCE
+.PHONY: check build vet lint lint-test fmt-check test short race perfbench-test ci bench bench-json net-smoke wal-smoke soak FORCE
 
 check: vet lint lint-test fmt-check build test
 
@@ -79,6 +78,12 @@ short:
 
 race:
 	$(GO) test -race $(RACE_PKGS)
+
+# perfbench is a nested module (its own go.mod), so the root
+# `go test ./...` never builds it: an API change in the packages it
+# drives would break the benchmark without this target noticing.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test -short .
 
 # net-smoke proves the network front end end to end with the REAL
 # binaries: build cmd/kvserver, serve, drive a short mixed-class
@@ -162,9 +167,10 @@ soak:
 	rm -rf $$tmp
 
 # ci is what the workflow runs: the tier-1 gate, the race gate, the
-# short smoke paths, and the network smoke. wal-smoke and soak are
-# separate non-gating jobs in the workflow.
-ci: check race short net-smoke
+# short smoke paths, the nested benchmark module's build and tests,
+# and the network smoke. wal-smoke and soak are separate non-gating
+# jobs in the workflow.
+ci: check race short perfbench-test net-smoke
 
 bench:
 	$(GO) run ./cmd/kvbench -dur 500ms
@@ -172,39 +178,33 @@ bench:
 # bench-json appends one trajectory record per row to
 # BENCH_kvbench.json (CI uploads it as an artifact). The configuration
 # is deliberately contended — few shards, a microsecond critical
-# section, the write-heavy zipfian mix — so the pipe-* rows show real
-# combining (ops_per_lock_take > 1), the rs-* rows reshard mid-run
-# (splits/reshard_events in the records), and the pipe-ff-* rows show
-# the fire-and-forget write path. The second run is the mixed-class
-# NETWORK smoke load: a heavy critical section (so service time
-# dominates scheduler noise on small runners) and a one-slot bulk
-# admission gate — on the asl rows the interactive class's p99 should
-# sit at or below the bulk class's (p99_interactive <= p99_bulk in the
-# records), while the class-oblivious mutex rows show no separation.
-# rs-* and net-* rows are trend data like everything else here: split
-# counts and queueing depend on how fast skew accumulates inside the
-# short measured window. The third run adds the durable rows: wal-*
-# (plain store, group commit via commit leader election) and
-# wal-pipe-* (pipeline, whole combiner batch per fsync) both carry
-# ops_per_fsync — the group-commit figure of merit, which should sit
-# well above 1 on wal-pipe-* and climb with the combine batch size.
-# The fourth run is the biased-lock leg: a single big worker owning
-# hot shards, so the bias-* and rs-pipe-bias-* rows carry the
-# adopt/revoke counters (bias_adoptions, bias_revocations,
-# bias_fast_acquires) and their ops_per_lock_take should hold level
-# with the corresponding rs-pipe-* rows — the owner's fast path
-# removes the RMW without costing the combiner its batching.
+# section, the write-heavy zipfian mix — so the rs-* rows reshard
+# mid-run (splits/reshard_events in the records). The second run is
+# the mixed-class NETWORK smoke load: a heavy critical section (so
+# service time dominates scheduler noise on small runners) and a
+# one-slot bulk admission gate — on the asl rows the interactive
+# class's p99 should sit at or below the bulk class's
+# (p99_interactive <= p99_bulk in the records), while the
+# class-oblivious mutex rows show no separation. rs-* and net-* rows
+# are trend data like everything else here: split counts and queueing
+# depend on how fast skew accumulates inside the short measured
+# window. The third run adds the durable wal-* rows, whose
+# ops_per_fsync is the group-commit figure of merit (concurrent
+# writers behind one commit leader share an fsync). The fourth run is
+# the biased-lock leg: a single big worker owning hot shards, so the
+# bias-* and rs-bias-* rows carry the adopt/revoke counters
+# (bias_adoptions, bias_revocations, bias_fast_acquires).
 bench-json:
 	$(GO) run ./cmd/kvbench -engines hashkv,lsm -mixes zipfw,zipf \
-		-locks asl,mutex -pipeline -reshard -ff -shards 4 -cs 1us \
+		-locks asl,mutex -reshard -shards 4 -cs 1us \
 		-dur 500ms -warmup 150ms -json BENCH_kvbench.json
 	$(GO) run ./cmd/kvbench -net -engines hashkv -mixes zipfw \
-		-locks asl,mutex -pipeline -shards 4 -cs 100us -bulkinflight 1 \
+		-locks asl,mutex -shards 4 -cs 100us -bulkinflight 1 \
 		-dur 500ms -warmup 150ms -json BENCH_kvbench.json
 	$(GO) run ./cmd/kvbench -engines hashkv -mixes zipfw \
-		-locks asl -pipeline -wal -shards 4 -cs 1us \
+		-locks asl -wal -shards 4 -cs 1us \
 		-dur 500ms -warmup 150ms -json BENCH_kvbench.json
 	$(GO) run ./cmd/kvbench -engines hashkv -mixes zipfw \
-		-locks asl -pipeline -reshard -bias -shards 4 -threads 8 \
+		-locks asl -reshard -bias -shards 4 -threads 8 \
 		-bigs 1 -cs 1us -dur 500ms -warmup 150ms \
 		-json BENCH_kvbench.json

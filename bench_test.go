@@ -2,7 +2,7 @@
 // and figure of the paper's evaluation, each regenerating its
 // experiment on the deterministic AMP simulator and reporting the
 // headline metrics via b.ReportMetric, plus real-lock micro-benchmarks
-// and the ablation benches called out in DESIGN.md §5.
+// and ablation benches of LibASL's design choices.
 //
 // Run everything:
 //
@@ -148,7 +148,7 @@ func BenchmarkFig10SQLiteASL(b *testing.B) {
 	benchDB(b, figures.SQLiteTemplate(), figures.KindASL, 4_000_000)
 }
 
-// --- Ablations (DESIGN.md §5) ----------------------------------------
+// --- Ablations -------------------------------------------------------
 
 func BenchmarkAblationBackoffExponential(b *testing.B) {
 	reportRun(b, figures.Bench1Config(figures.KindASL, 80_000))

@@ -1,7 +1,7 @@
 // Command dbbench runs the paper's database evaluation (§4.2, Figs. 9
 // and 10) against the real Go lock implementations and the from-scratch
 // database engines in internal/dbs. Asymmetry is emulated with the
-// calibrated work shim (DESIGN.md substitutions); on hosts without
+// calibrated work shim (workload.AsymmetryShim); on hosts without
 // enough cores the numbers are sanity-level only — cmd/ampsim holds the
 // shape-faithful reproduction.
 //

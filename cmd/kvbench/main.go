@@ -9,49 +9,39 @@
 //	kvbench                                  # engine × mix grid, asl vs mutex
 //	kvbench -engines hashkv,btree -mixes zipf -locks all
 //	kvbench -threads 8 -bigs 4 -slo 200us -dur 1s -shardstats
-//	kvbench -pipeline -mixes zipfw           # ASL vs combining vs plain, one grid
-//	kvbench -pipeline -reshard -ff           # + rs-*, rs-pipe-*, pipe-ff-* rows
-//	kvbench -wal -pipeline                   # + wal-*, wal-pipe-* durable rows
+//	kvbench -reshard -mixes zipfw            # + rs-* dynamic-reshard rows
+//	kvbench -wal                             # + wal-* durable rows
 //	kvbench -bias -bigs 1 -mixes zipfw       # + bias-* biased-shard-lock rows
-//	kvbench -bias -reshard                   # + rs-pipe-bias-* (splits revoke bias)
+//	kvbench -bias -reshard                   # + rs-bias-* (splits revoke bias)
 //	kvbench -net -mixes zipfw                # the grid over TCP: net-* rows
 //	kvbench -net -netaddr host:7877          # ... against an external kvserver
 //	kvbench -json BENCH_kvbench.json         # append a trajectory record per row
 //
 // Mixes: read (95% get), write (80% put), zipf (YCSB-A 50/50 over
 // zipfian keys), zipfw (write-heavy 80% put over zipfian keys — the
-// hot-shard regime combining and resharding target), batch
+// hot-shard regime resharding and biased locks target), batch
 // (MultiGet/MultiPut, keys sorted by shard), scan (YCSB-E 95% range
 // scan / 5% put over -span-wide windows), and scanbatch (MultiRange,
 // -batch ranges per request grouped by shard).
 // Locks: asl, asl-blocking (for hosts with more workers than cores),
-// mutex, mcs, pthread. With -pipeline every selected lock also runs a
-// pipe-<lock> row that routes operations through the flat-combining
-// AsyncStore front end over the same shard locks, so handoff-policy
-// (ASL) and combining answers to the same contention are one grid run;
-// pipe rows report ops-per-lock-take on stderr and in the -json record
-// (by default the combiner's drain bound is adaptive; -pipebatch N
-// fixes it). -ff adds a pipe-ff-<lock> row whose writes go through the
-// fire-and-forget PutAsync path (submit without waiting; the run's
-// epilogue Flush is the write barrier). -reshard adds rs-<lock> (and,
-// with -pipeline, rs-pipe-<lock>) rows on a store with the skew
-// detector live: sustained hot shards split mid-run, and the reshard
-// event/split counts land on stderr and in the -json records. -net
-// replaces the expansion with the over-the-wire family: net-<lock>
-// (and net-pipe-<lock>) rows run against an in-process kvserver, big
+// mutex, mcs, pthread. -reshard adds rs-<lock> rows on a store with
+// the skew detector live: sustained hot shards split mid-run, and the
+// reshard event/split counts land on stderr and in the -json records.
+// -wal adds wal-<lock> rows on a durable store that report
+// ops_per_fsync. -net replaces the expansion with the over-the-wire
+// family: net-<lock> rows run against an in-process kvserver, big
 // workers issuing interactive-class requests and little workers
 // bulk-class ones, with client-side per-class p99s and admission
 // counts in the records (see cmd/kvbench/README.md for the full flag
 // and schema reference). -bias adds bias-<lock> rows (and, with
-// -reshard, rs-pipe-bias-<lock>) whose shard locks carry single-owner
-// bias: the dominant combiner is adopted after a sustained take streak
-// and acquires with plain atomics until foreign traffic or a split
-// revokes it through the epoch/handshake grace period; the rows report
-// bias_adoptions/bias_revocations/bias_fast_acquires alongside the
-// pipeline's ops_per_lock_take. Like every trajectory number, rs-* and net-*
-// rows are trend data, not gates — shared runners are noisy and
-// splits/queueing depend on how fast skew accumulates within the
-// measured window.
+// -reshard, rs-bias-<lock>) whose shard locks carry single-owner bias:
+// a worker that takes nearly every acquisition of an adoption window
+// is adopted and acquires with plain atomics until foreign traffic or
+// a split revokes it through the epoch/handshake grace period; the
+// rows report bias_adoptions/bias_revocations/bias_fast_acquires. Like
+// every trajectory number, rs-* and net-* rows are trend data, not
+// gates — shared runners are noisy and splits/queueing depend on how
+// fast skew accumulates within the measured window.
 package main
 
 import (
@@ -77,21 +67,20 @@ import (
 )
 
 type benchConfig struct {
-	shards    int
-	threads   int
-	bigs      int
-	dur       time.Duration
-	warmup    time.Duration
-	slo       int64
-	keys      uint64
-	vsize     int
-	batch     int
-	span      uint64
-	zipfS     float64
-	ncsUnits  int64
-	csUnits   int64
-	pipeBatch int
-	skew      float64
+	shards   int
+	threads  int
+	bigs     int
+	dur      time.Duration
+	warmup   time.Duration
+	slo      int64
+	keys     uint64
+	vsize    int
+	batch    int
+	span     uint64
+	zipfS    float64
+	ncsUnits int64
+	csUnits  int64
+	skew     float64
 	// Net-mode knobs (-net): bulk-class epoch SLO on the server, the
 	// per-shard bulk admission bound, and the client connection count
 	// (0 = one per worker).
@@ -126,12 +115,6 @@ type lockSpec struct {
 	f    locks.Factory
 	// slo enables epoch/SLO annotation (only meaningful for asl).
 	slo bool
-	// pipe routes operations through the flat-combining AsyncStore
-	// front end over the same shard locks.
-	pipe bool
-	// ff additionally routes writes through the fire-and-forget
-	// PutAsync path (implies pipe's AsyncStore).
-	ff bool
 	// reshard runs the row on a store with the skew detector live.
 	reshard bool
 	// wal runs the row on a durable store: every write appended to a
@@ -146,75 +129,52 @@ type lockSpec struct {
 	// workers as bulk.
 	net bool
 	// bias wraps every shard lock with locks.Biased: a shard whose
-	// combining pipeline sees one worker take essentially every lock
+	// windowed take counter sees one worker take essentially every lock
 	// acquisition adopts that worker (plain-atomic fast path, no
 	// contended RMW per op) until foreign traffic — or a split —
 	// revokes the bias through the epoch/handshake grace period. Bias
-	// rows route through the pipeline (the adoption signal is the
-	// combiner take streak) and report adoption/revocation counts.
+	// rows report adoption/revocation counts.
 	bias bool
 }
 
 // expandLocks grows each base lock into its comparison family: the
-// plain row, a pipe-* combining sibling (-pipeline), a pipe-ff-*
-// fire-and-forget sibling (-ff), and rs-*/rs-pipe-* dynamic-reshard
-// siblings (-reshard) — so handoff policy, combining, and shard
-// fission all answer the same contention in one grid run.
-func expandLocks(lks []lockSpec, pipeline, ff, reshard, walRows, bias bool) []lockSpec {
+// plain row, an rs-* dynamic-reshard sibling (-reshard), bias-* and
+// rs-bias-* biased-lock siblings (-bias), and a wal-* durable sibling
+// (-wal) — so handoff policy, shard fission and single-owner bias all
+// answer the same contention in one grid run.
+func expandLocks(lks []lockSpec, reshard, walRows, bias bool) []lockSpec {
 	var out []lockSpec
 	for _, lk := range lks {
 		out = append(out, lk)
-		if pipeline {
-			out = append(out, lockSpec{name: "pipe-" + lk.name, f: lk.f, slo: lk.slo, pipe: true})
-		}
-		if ff {
-			out = append(out, lockSpec{name: "pipe-ff-" + lk.name, f: lk.f, slo: lk.slo, pipe: true, ff: true})
-		}
 		if reshard {
 			out = append(out, lockSpec{name: "rs-" + lk.name, f: lk.f, slo: lk.slo, reshard: true})
-			if pipeline {
-				out = append(out, lockSpec{name: "rs-pipe-" + lk.name, f: lk.f, slo: lk.slo, pipe: true, reshard: true})
-			}
 		}
 		if bias {
-			// bias-<lock> is a pipeline row by construction: the
-			// combiner take streak is the adoption signal, and the
-			// ops-per-lock-take column stays unit-compatible with the
-			// pipe-*/rs-pipe-* rows it is compared against. With
-			// -reshard a rs-pipe-bias-<lock> sibling adds splits — every
-			// split of a biased shard revokes the parent's bias first.
-			out = append(out, lockSpec{name: "bias-" + lk.name, f: lk.f, slo: lk.slo, pipe: true, bias: true})
+			// With -reshard a rs-bias-<lock> sibling adds splits —
+			// every split of a biased shard revokes the parent's bias
+			// first.
+			out = append(out, lockSpec{name: "bias-" + lk.name, f: lk.f, slo: lk.slo, bias: true})
 			if reshard {
-				out = append(out, lockSpec{name: "rs-pipe-bias-" + lk.name, f: lk.f, slo: lk.slo, pipe: true, reshard: true, bias: true})
+				out = append(out, lockSpec{name: "rs-bias-" + lk.name, f: lk.f, slo: lk.slo, reshard: true, bias: true})
 			}
 		}
 		if walRows {
-			// wal-<lock> pays one commit-pipeline group commit per
-			// sync-wait write; wal-pipe-<lock> additionally rides the
-			// combiner, so its whole drained batch shares one fsync —
-			// ops_per_fsync should climb with the combine batch size.
+			// wal-<lock> pays one leader-elected group commit per
+			// sync-wait write; concurrent writers share one fsync.
 			out = append(out, lockSpec{name: "wal-" + lk.name, f: lk.f, slo: lk.slo, wal: true})
-			if pipeline {
-				out = append(out, lockSpec{name: "wal-pipe-" + lk.name, f: lk.f, slo: lk.slo, pipe: true, wal: true})
-			}
 		}
 	}
 	return out
 }
 
 // expandNetLocks grows each base lock into its over-the-wire family:
-// a net-<lock> row per lock and, with -pipeline, a net-pipe-<lock> row
-// whose server routes operations through the combining AsyncStore. The
-// -ff and -reshard families are local-only (the protocol is
-// request/response and the net rows keep placement static), so net
-// mode replaces rather than extends the local expansion.
-func expandNetLocks(lks []lockSpec, pipeline bool) []lockSpec {
+// one net-<lock> row per lock. The -reshard, -wal and -bias families
+// are local-only (the net rows keep placement static), so net mode
+// replaces rather than extends the local expansion.
+func expandNetLocks(lks []lockSpec) []lockSpec {
 	var out []lockSpec
 	for _, lk := range lks {
 		out = append(out, lockSpec{name: "net-" + lk.name, f: lk.f, slo: lk.slo, net: true})
-		if pipeline {
-			out = append(out, lockSpec{name: "net-pipe-" + lk.name, f: lk.f, slo: lk.slo, net: true, pipe: true})
-		}
 	}
 	return out
 }
@@ -253,25 +213,10 @@ func preload(st *shardedkv.Store, cfg benchConfig) {
 	}
 }
 
-// The workers drive the shardedkv.KV surface; Store (plain per-op
-// locking) and AsyncStore (flat-combining pipeline) both implement
-// it, so one worker loop serves both rows.
-
-// ffAPI routes point writes through the fire-and-forget PutAsync path
-// (submit without waiting); everything else stays on the waited
-// pipeline. The insert-vs-replace answer is unknowable without
-// waiting, so Put reports false — the bench ignores it.
-type ffAPI struct{ *shardedkv.AsyncStore }
-
-func (f ffAPI) Put(w *core.Worker, k uint64, v []byte) (bool, error) {
-	f.AsyncStore.PutAsync(w, k, v)
-	return false, nil
-}
-
 // run executes one configuration and returns its summary row, the
-// store's per-shard counters, and (for pipe/rs/wal/bias rows) the
-// aggregate combining, resharding, log, and biased-lock stats.
-func run(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg benchConfig) (stats.Summary, []shardedkv.ShardStats, *shardedkv.CombineStats, *shardedkv.ReshardStats, *wal.Stats, *locks.BiasStats) {
+// store's per-shard counters, and (for rs/wal/bias rows) the aggregate
+// resharding, log, and biased-lock stats.
+func run(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg benchConfig) (stats.Summary, []shardedkv.ShardStats, *shardedkv.ReshardStats, *wal.Stats, *locks.BiasStats) {
 	// The critical-section pad emulates the paper's AMP regime on a
 	// symmetric host: a little-class holder keeps the shard lock
 	// CSFactor times longer, exactly the condition under which FIFO
@@ -318,16 +263,6 @@ func run(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg be
 	}
 	st := shardedkv.New(scfg)
 	preload(st, cfg)
-	var api shardedkv.KV = st
-	var async *shardedkv.AsyncStore
-	if lk.pipe {
-		async = shardedkv.NewAsync(st, shardedkv.AsyncConfig{MaxBatch: cfg.pipeBatch})
-		if lk.ff {
-			api = ffAPI{async}
-		} else {
-			api = async
-		}
-	}
 	var keygen workload.KeyGen = workload.NewUniform(cfg.keys)
 	if mix.zipf {
 		keygen = workload.NewZipf(cfg.keys, cfg.zipfS)
@@ -372,7 +307,7 @@ func run(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg be
 							reqs[j] = shardedkv.RangeReq{Lo: lo, Hi: spanHi(lo, cfg.span)}
 						}
 						visited := uint64(0)
-						for _, res := range api.MultiRange(w, reqs) {
+						for _, res := range st.MultiRange(w, reqs) {
 							visited += uint64(len(res))
 						}
 						return max(visited, 1)
@@ -380,12 +315,12 @@ func run(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg be
 						for j := range keys {
 							keys[j] = keygen.Draw(rng)
 						}
-						api.MultiGet(w, keys)
+						st.MultiGet(w, keys)
 					default:
 						for j := range kvs {
 							kvs[j] = shardedkv.Pair{Key: keygen.Draw(rng), Value: val}
 						}
-						api.MultiPut(w, kvs)
+						st.MultiPut(w, kvs)
 					}
 					return uint64(cfg.batch)
 				}
@@ -393,15 +328,15 @@ func run(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg be
 				switch kind {
 				case workload.OpScan:
 					visited := uint64(0)
-					api.Range(w, k, spanHi(k, cfg.span), func(uint64, []byte) bool {
+					st.Range(w, k, spanHi(k, cfg.span), func(uint64, []byte) bool {
 						visited++
 						return true
 					})
 					return max(visited, 1)
 				case workload.OpGet:
-					api.Get(w, k)
+					st.Get(w, k)
 				default:
-					api.Put(w, k, val)
+					st.Put(w, k, val)
 				}
 				return 1
 			}
@@ -433,14 +368,6 @@ func run(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg be
 	for _, r := range recs {
 		merged.Merge(r)
 	}
-	var comb *shardedkv.CombineStats
-	if async != nil {
-		// Settle in-flight (fire-and-forget) requests so the combining
-		// counters account for every submitted op.
-		async.Flush(core.NewWorker(core.WorkerConfig{Class: core.Big}))
-		c := async.AggregateCombineStats()
-		comb = &c
-	}
 	var rs *shardedkv.ReshardStats
 	if lk.reshard {
 		st.StopReshard()
@@ -450,8 +377,7 @@ func run(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg be
 	shardStats := st.Stats()
 	var bs *locks.BiasStats
 	if lk.bias {
-		// Snapshot after the pipeline Flush above so the counters cover
-		// every settled op (split-retired parents included).
+		// The aggregate covers split-retired parents too.
 		b := st.AggregateBiasStats()
 		bs = &b
 	}
@@ -462,7 +388,7 @@ func run(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg be
 		st.Close(core.NewWorker(core.WorkerConfig{Class: core.Big}))
 		os.RemoveAll(walDir)
 	}
-	return merged.Summarize(name, cfg.dur), shardStats, comb, rs, ws, bs
+	return merged.Summarize(name, cfg.dur), shardStats, rs, ws, bs
 }
 
 // netPreload fills half the keyspace over the wire (MultiPut batches)
@@ -488,11 +414,9 @@ func netPreload(cl *kvclient.Client, cfg benchConfig) error {
 // workers issue interactive requests, little-class workers bulk ones,
 // so the per-request SLO class byte carries the asymmetry instead of
 // any per-goroutine state. Returns the client-side summary (BigP99 =
-// interactive, LittleP99 = bulk), the server's final stats, and (for
-// net-pipe rows) the aggregate combining stats.
-func runNet(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg benchConfig, remoteAddr string) (stats.Summary, *kvserver.ServerStats, *shardedkv.CombineStats, error) {
+// interactive, LittleP99 = bulk) and the server's final stats.
+func runNet(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg benchConfig, remoteAddr string) (stats.Summary, *kvserver.ServerStats, error) {
 	var srv *kvserver.Server
-	var async *shardedkv.AsyncStore
 	addr := remoteAddr
 	if addr == "" {
 		shim := workload.DefaultShim()
@@ -507,9 +431,6 @@ func runNet(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg
 				workload.Spin(shim.CSUnits(cfg.csUnits, w.Class()))
 			},
 		})
-		if lk.pipe {
-			async = shardedkv.NewAsync(st, shardedkv.AsyncConfig{MaxBatch: cfg.pipeBatch})
-		}
 		sloI := time.Duration(0)
 		if lk.slo && cfg.slo > 0 {
 			sloI = time.Duration(cfg.slo)
@@ -521,16 +442,15 @@ func runNet(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg
 		var err error
 		srv, err = kvserver.New(kvserver.Config{
 			Store:          st,
-			Async:          async,
 			SLOInteractive: sloI,
 			SLOBulk:        sloB,
 			Admission:      kvserver.AdmissionConfig{BulkPerShard: cfg.bulkInflight},
 		})
 		if err != nil {
-			return stats.Summary{}, nil, nil, err
+			return stats.Summary{}, nil, err
 		}
 		if err := srv.Listen("127.0.0.1:0"); err != nil {
-			return stats.Summary{}, nil, nil, err
+			return stats.Summary{}, nil, err
 		}
 		defer srv.Close()
 		addr = srv.Addr().String()
@@ -544,13 +464,13 @@ func runNet(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg
 	for i := range clients {
 		cl, err := kvclient.DialRetry(addr, 5*time.Second)
 		if err != nil {
-			return stats.Summary{}, nil, nil, fmt.Errorf("dial %s: %w", addr, err)
+			return stats.Summary{}, nil, fmt.Errorf("dial %s: %w", addr, err)
 		}
 		clients[i] = cl
 		defer cl.Close()
 	}
 	if err := netPreload(clients[0], cfg); err != nil {
-		return stats.Summary{}, nil, nil, fmt.Errorf("preload: %w", err)
+		return stats.Summary{}, nil, fmt.Errorf("preload: %w", err)
 	}
 
 	var keygen workload.KeyGen = workload.NewUniform(cfg.keys)
@@ -672,23 +592,16 @@ func runNet(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg
 		if ep := firstErr.Load(); ep != nil {
 			err = fmt.Errorf("%v (first: %w)", err, *ep)
 		}
-		return stats.Summary{}, nil, nil, err
+		return stats.Summary{}, nil, err
 	}
 
 	merged := stats.NewClassedRecorder()
 	for _, r := range recs {
 		merged.Merge(r)
 	}
-	var comb *shardedkv.CombineStats
-	if async != nil {
-		if err := clients[0].Flush(kvserver.ClassBulk); err == nil {
-			c := async.AggregateCombineStats()
-			comb = &c
-		}
-	}
 	sstats, err := clients[0].Stats()
 	if err != nil {
-		return merged.Summarize(name, cfg.dur), nil, comb, fmt.Errorf("server stats: %w", err)
+		return merged.Summarize(name, cfg.dur), nil, fmt.Errorf("server stats: %w", err)
 	}
 	if remoteAddr != "" {
 		// A shared external server's cumulative counters cover other
@@ -699,7 +612,7 @@ func runNet(name string, eng shardedkv.EngineSpec, mix mixSpec, lk lockSpec, cfg
 		sstats.BulkRejected = rejected.Load()
 		sstats.BulkWaited = 0
 	}
-	return merged.Summarize(name, cfg.dur), &sstats, comb, nil
+	return merged.Summarize(name, cfg.dur), &sstats, nil
 }
 
 // benchRecord is one row of the bench trajectory: CI appends these to
@@ -713,13 +626,12 @@ type benchRecord struct {
 	Lock      string  `json:"lock"`
 	OpsPerSec float64 `json:"ops_per_sec"`
 	P99Ns     int64   `json:"p99"`
-	// OpsPerLockTake is the combining ratio; present only on pipe-*
-	// rows, where > 1 means the combiner is actually batching.
+	// OpsPerLockTake is the combining ratio of the historical pipe-*
+	// rows. No current row sets it; the field stays so appending to the
+	// trajectory round-trips the old records unchanged.
 	OpsPerLockTake float64 `json:"ops_per_lock_take,omitempty"`
 	// OpsPerFsync/Fsyncs are the wal-* rows' group-commit amortisation:
-	// records appended per fsync, and the fsync count itself. On
-	// wal-pipe-* rows the ratio should climb with the combine batch
-	// size — the whole drained batch rides one sync.
+	// records appended per fsync, and the fsync count itself.
 	OpsPerFsync float64 `json:"ops_per_fsync,omitempty"`
 	Fsyncs      uint64  `json:"fsyncs,omitempty"`
 	// Splits/ReshardEvents/Shards are the rs-* rows' resharding
@@ -729,7 +641,7 @@ type benchRecord struct {
 	ReshardEvents uint64 `json:"reshard_events,omitempty"`
 	Shards        int    `json:"shards,omitempty"`
 	// BiasAdoptions/BiasRevocations/BiasFastAcquires are the bias-*
-	// and rs-pipe-bias-* rows' biased-lock trajectory: cookies minted,
+	// and rs-bias-* rows' biased-lock trajectory: cookies minted,
 	// cookies torn down through the revocation handshake (splits and
 	// foreign traffic both land here), and owner acquisitions that
 	// touched only the plain-atomic fast path — no contended RMW.
@@ -818,18 +730,15 @@ func main() {
 	engines := flag.String("engines", "all", "comma list of hashkv|btree|skiplist|lsm, or all")
 	mixes := flag.String("mixes", "all", "comma list of read|write|zipf|zipfw|batch|scan|scanbatch, or all")
 	lockSel := flag.String("locks", "asl,mutex", "comma list of asl|asl-blocking|mutex|mcs|pthread, or all")
-	pipeline := flag.Bool("pipeline", false, "also run a pipe-<lock> row per lock: ops routed through the flat-combining AsyncStore")
-	ff := flag.Bool("ff", false, "also run a pipe-ff-<lock> row per lock: writes submitted fire-and-forget (PutAsync)")
-	reshard := flag.Bool("reshard", false, "also run rs-<lock> (and, with -pipeline, rs-pipe-<lock>) rows with the skew detector splitting hot shards mid-run")
-	walRows := flag.Bool("wal", false, "also run wal-<lock> (and, with -pipeline, wal-pipe-<lock>) rows on a durable store: per-shard write-ahead logs with group commit; rows report ops_per_fsync")
-	bias := flag.Bool("bias", false, "also run bias-<lock> (and, with -reshard, rs-pipe-bias-<lock>) rows with biased shard locks: the dominant combiner is adopted as single owner until revoked; rows report bias_adoptions/bias_revocations")
+	reshard := flag.Bool("reshard", false, "also run rs-<lock> rows with the skew detector splitting hot shards mid-run")
+	walRows := flag.Bool("wal", false, "also run wal-<lock> rows on a durable store: per-shard write-ahead logs with group commit; rows report ops_per_fsync")
+	bias := flag.Bool("bias", false, "also run bias-<lock> (and, with -reshard, rs-bias-<lock>) rows with biased shard locks: the dominant taker is adopted as single owner until revoked; rows report bias_adoptions/bias_revocations")
 	netMode := flag.Bool("net", false, "run the grid over the wire: net-<lock> rows drive an in-process kvserver through kvclient connections (big workers interactive, little workers bulk)")
 	netAddr := flag.String("netaddr", "", "with -net: drive an EXTERNAL kvserver at this address instead (one remote/<mix>/net-remote row per mix; engine and lock are the server's)")
 	netConns := flag.Int("netconns", 0, "with -net: client connections shared by the workers; 0 = one per worker")
 	sloBulk := flag.Duration("slobulk", 2*time.Millisecond, "with -net: bulk-class epoch SLO on the served store (asl locks); 0 disables")
 	bulkInflight := flag.Int("bulkinflight", 0, "with -net: per-shard bulk admission bound (0 = server default, negative disables the gate)")
 	skew := flag.Float64("skew", 1.2, "reshard skew factor: a shard splits after sustaining this multiple of its fair ops share")
-	pipeBatch := flag.Int("pipebatch", 0, "max ops a pipeline combiner executes per lock take; 0 = adaptive per-shard bound")
 	jsonPath := flag.String("json", "", "append one {commit, engine, mix, lock, ops_per_sec, p99} record per row to this JSON file")
 	shards := flag.Int("shards", 16, "shard count")
 	threads := flag.Int("threads", 8, "total workers (first -bigs are big-class)")
@@ -875,21 +784,17 @@ func main() {
 		os.Exit(2)
 	}
 	if *netMode {
-		if *ff || *reshard || *walRows || *bias {
-			fmt.Fprintln(os.Stderr, "kvbench: -ff/-reshard/-wal/-bias rows are local-only; ignoring them under -net")
+		if *reshard || *walRows || *bias {
+			fmt.Fprintln(os.Stderr, "kvbench: -reshard/-wal/-bias rows are local-only; ignoring them under -net")
 		}
-		lks = expandNetLocks(lks, *pipeline)
+		lks = expandNetLocks(lks)
 		if *netAddr != "" {
 			// The external server fixes engine and lock; one row per mix.
 			engs = []shardedkv.EngineSpec{{Name: "remote"}}
 			lks = []lockSpec{{name: "net-remote", net: true}}
 		}
 	} else {
-		lks = expandLocks(lks, *pipeline, *ff, *reshard, *walRows, *bias)
-	}
-	if *pipeBatch < 0 {
-		fmt.Fprintf(os.Stderr, "kvbench: -pipebatch must be >= 0 (got %d; 0 = adaptive)\n", *pipeBatch)
-		os.Exit(2)
+		lks = expandLocks(lks, *reshard, *walRows, *bias)
 	}
 	if *skew <= 1 {
 		fmt.Fprintf(os.Stderr, "kvbench: -skew must be > 1 (got %g)\n", *skew)
@@ -911,7 +816,6 @@ func main() {
 		span:         *span,
 		zipfS:        *zipfS,
 		ncsUnits:     cal.Units(*ncsGap),
-		pipeBatch:    *pipeBatch,
 		skew:         *skew,
 		sloBulk:      *sloBulk,
 		bulkInflight: *bulkInflight,
@@ -940,20 +844,19 @@ func main() {
 				name := fmt.Sprintf("%s/%s/%s", eng.Name, mixName, lk.name)
 				var row stats.Summary
 				var shardStats []shardedkv.ShardStats
-				var comb *shardedkv.CombineStats
 				var rs *shardedkv.ReshardStats
 				var ws *wal.Stats
 				var bs *locks.BiasStats
 				var sstats *kvserver.ServerStats
 				if lk.net {
 					var err error
-					row, sstats, comb, err = runNet(name, eng, mix, lk, cfg, *netAddr)
+					row, sstats, err = runNet(name, eng, mix, lk, cfg, *netAddr)
 					if err != nil {
 						fmt.Fprintf(os.Stderr, "kvbench: -net %s: %v\n", name, err)
 						os.Exit(1)
 					}
 				} else {
-					row, shardStats, comb, rs, ws, bs = run(name, eng, mix, lk, cfg)
+					row, shardStats, rs, ws, bs = run(name, eng, mix, lk, cfg)
 					lastShards = shardStats
 				}
 				rows = append(rows, row)
@@ -964,12 +867,6 @@ func main() {
 						time.Duration(row.BigP99), time.Duration(row.LittleP99),
 						time.Duration(sstats.Interactive.P99Ns), time.Duration(sstats.Bulk.P99Ns),
 						sstats.BulkWaited, sstats.BulkRejected, sstats.Shards)
-				}
-				if comb != nil {
-					fmt.Fprintf(os.Stderr,
-						"  combining: %d ops / %d takes = %.2f ops/take (direct %d, handoffs %d, depthHW %d, maxbatch %d, big/little takes %d/%d)\n",
-						comb.Combined, comb.LockTakes, comb.OpsPerLockTake(),
-						comb.Direct, comb.Handoffs, comb.DepthHW, comb.MaxBatchEff, comb.BigTakes, comb.LittleTakes)
 				}
 				if rs != nil {
 					fmt.Fprintf(os.Stderr,
@@ -996,9 +893,6 @@ func main() {
 						Lock:      lockCol,
 						OpsPerSec: row.Throughput,
 						P99Ns:     row.OverallP99,
-					}
-					if comb != nil {
-						rec.OpsPerLockTake = comb.OpsPerLockTake()
 					}
 					if rs != nil {
 						rec.Splits = rs.Splits

@@ -1,23 +1,22 @@
 // Command kvserver serves the sharded asymmetry-aware KV store over
 // TCP with the binary protocol of docs/protocol.md. Every request
 // carries an SLO class byte: interactive requests run big-class at the
-// shard lock (ASL fast path; elect/combine/spin under -pipeline), bulk
-// requests run little-class (reorder standby; enqueue/park) and pass a
-// bounded per-shard admission gate — the paper's asymmetry-aware
+// shard lock (ASL fast path), bulk requests run little-class (reorder
+// standby) and pass a bounded per-shard admission gate — the paper's asymmetry-aware
 // admission applied per request at the serving boundary.
 //
 // Usage:
 //
 //	kvserver                                   # hashkv engine, ASL shard locks, :7877
 //	kvserver -addr :7900 -engine lsm -lock asl -shards 32
-//	kvserver -pipeline                         # ops routed through the combining AsyncStore
 //	kvserver -slo-interactive 100us -slo-bulk 2ms -bulk-inflight 4
 //	kvserver -cs 1us                           # AMP critical-section emulation (benchmarks)
 //	kvserver -wal /var/lib/kv/wal              # durable: replay on start, per-class group commit
 //
 // With -wal set, interactive requests ack only after their record's
-// group commit; bulk requests ack async and are durable with a later
-// batch, an OpFlush, or shutdown (see docs/protocol.md).
+// group commit; bulk requests ack after the buffered append and are
+// durable with a later group commit, an OpFlush, or shutdown (see
+// docs/protocol.md).
 //
 // The server shuts down cleanly on SIGINT/SIGTERM: the listener
 // closes, in-flight requests finish, final stats print to stderr, and
@@ -59,8 +58,6 @@ func main() {
 	engine := flag.String("engine", "hashkv", "storage engine: hashkv|btree|skiplist|lsm")
 	lock := flag.String("lock", "asl", "shard lock: asl|asl-blocking|mutex|mcs|pthread")
 	shards := flag.Int("shards", 16, "shard count")
-	pipeline := flag.Bool("pipeline", false, "route operations through the flat-combining AsyncStore")
-	pipeBatch := flag.Int("pipebatch", 0, "combiner drain bound; 0 = adaptive")
 	sloInteractive := flag.Duration("slo-interactive", 100*time.Microsecond, "interactive-class epoch SLO; 0 disables epochs for the class")
 	sloBulk := flag.Duration("slo-bulk", 2*time.Millisecond, "bulk-class epoch SLO; 0 disables epochs for the class")
 	bulkInflight := flag.Int("bulk-inflight", 0, "max in-flight bulk ops per shard (0 = default, negative disables the gate)")
@@ -112,8 +109,8 @@ func main() {
 	}
 	if *walDir != "" {
 		// Default policies: interactive requests ack after their group
-		// commit, bulk requests ack async (durable with a later batch
-		// or OpFlush). The wire class byte picks the policy end-to-end.
+		// commit, bulk requests ack after the buffered append (durable
+		// with a later group commit or OpFlush). The wire class byte picks the policy end-to-end.
 		scfg.Durability = &shardedkv.DurabilityConfig{
 			Dir:          *walDir,
 			SegmentBytes: *walSegment,
@@ -130,14 +127,9 @@ func main() {
 		scfg.Reshard = &shardedkv.ReshardConfig{Manual: true, MaxShards: *shards * 4}
 	}
 	st := shardedkv.New(scfg)
-	var async *shardedkv.AsyncStore
-	if *pipeline {
-		async = shardedkv.NewAsync(st, shardedkv.AsyncConfig{MaxBatch: *pipeBatch})
-	}
 
 	srv, err := kvserver.New(kvserver.Config{
 		Store:          st,
-		Async:          async,
 		SLOInteractive: *sloInteractive,
 		SLOBulk:        *sloBulk,
 		Admission: kvserver.AdmissionConfig{
@@ -153,8 +145,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "kvserver: listen: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "kvserver: serving %s/%s (%d shards, pipeline=%v) on %s\n",
-		*engine, *lock, *shards, *pipeline, srv.Addr())
+	fmt.Fprintf(os.Stderr, "kvserver: serving %s/%s (%d shards) on %s\n",
+		*engine, *lock, *shards, srv.Addr())
 
 	if *forceSplitEvery > 0 {
 		go func() {
@@ -183,9 +175,6 @@ func main() {
 		os.Exit(1)
 	}
 	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-	if async != nil {
-		async.Close(w)
-	}
 	// Store.Close syncs and closes every shard log, so async-acked bulk
 	// writes are durable before the process exits.
 	st.Close(w)

@@ -21,8 +21,7 @@
 // lock waits, locks.ClassProbe records the class each acquisition was
 // observed under. internal/sim + internal/amp + internal/simlock form
 // the deterministic discrete-event AMP simulator that regenerates the
-// paper's figures; DESIGN.md inventories the system, EXPERIMENTS.md
-// the paper-vs-measured results.
+// paper's figures (internal/figures; bench_test.go benchmarks them).
 //
 // # Serving layer
 //
@@ -33,15 +32,11 @@
 // emit after release. Placement is dynamic: a copy-on-write shard map
 // with stable ids and forward pointers lets a skew detector split
 // sustained-hot shards without stalling the rest of the store.
-// Store.As / AsyncStore.As provide op-level class-override views —
-// the library face of the ClassHint path.
-//
-// shardedkv.AsyncStore is the flat-combining front end: per-shard
-// lock-free MPSC rings, futures with class-aware spin/park waiting,
-// combiner election via TryAcquire with big-class preference, and an
-// adaptive drain bound — weak cores enqueue, strong cores combine.
-// PutAsync/DeleteAsync submit fire-and-forget writes; Flush is the
-// write barrier.
+// Store.As provides op-level class-override views — the library face
+// of the ClassHint path. Store is the one front end: with durability
+// on, writes append to a per-shard WAL under the shard lock and group-
+// commit after release through the log's commit-leader election, and
+// Flush is the durability barrier.
 //
 // # Network front end
 //
@@ -49,9 +44,8 @@
 // binary protocol (docs/protocol.md is normative; a test pins it to
 // the code). Every request carries an SLO class byte the server maps
 // to the lock class for exactly that operation: interactive requests
-// run big-class (ASL fast path; elect/combine/spin on the pipeline),
-// bulk requests run little-class (reorder standby; enqueue/park) and
-// pass a bounded per-shard admission gate — concurrency restriction
+// run big-class (ASL fast path), bulk requests run little-class
+// (reorder standby) and pass a bounded per-shard admission gate — concurrency restriction
 // at the serving boundary, with interactive bypass. Per-class SLO
 // epochs feed the ASL window controllers from per-request latencies.
 // internal/kvclient is the concurrent pipelining client (one
@@ -73,8 +67,8 @@
 //
 // internal/analysis + cmd/repolint machine-check the concurrency
 // contracts the layers above rely on: ClassHint set/clear pairing,
-// the no-callbacks-under-a-shard-lock rule, the election-probe
-// convention, and append-only wire enums. `make lint` runs the suite
+// the no-callbacks-under-a-shard-lock rule, the no-bare-TryAcquire
+// probe convention, and append-only wire enums. `make lint` runs the suite
 // as a `go vet -vettool`; ARCHITECTURE.md ("Enforced invariants")
 // maps each pass to its prose rule.
 package repro

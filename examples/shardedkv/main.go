@@ -1,7 +1,6 @@
-// ShardedKV walkthrough: the same sharded KV service run four ways —
-// with plain sync.Mutex shard locks, with ASL shard locks, with the
-// flat-combining pipeline (AsyncStore) over ASL locks, and with
-// skew-adaptive resharding on top of the pipeline — under an
+// ShardedKV walkthrough: the same sharded KV service run three ways —
+// with plain sync.Mutex shard locks, with ASL shard locks, and with
+// skew-adaptive resharding on top of the ASL locks — under an
 // asymmetric big/little worker pool on a zipfian-skewed YCSB-A mix,
 // then served over TCP (kvserver/kvclient) with per-request SLO
 // classes standing in for the per-goroutine classing.
@@ -43,15 +42,11 @@ const (
 )
 
 // runService serves the mix for the configured duration over a fresh
-// store built with the given shard-lock factory. With pipeline set,
-// operations run through the flat-combining AsyncStore front end:
-// callers enqueue onto per-shard rings and whoever wins the shard
-// lock's try — big cores preferentially — executes the whole queue
-// under one lock take. With reshard set, a skew detector watches the
-// per-shard traffic share and lock-wait fraction and splits sustained
-// hot shards mid-run (the zipf head concentrates on a couple of
-// shards; fission spreads the convoy).
-func runService(name string, factory locks.Factory, useSLO, pipeline, reshard bool, threads, bigsN int, cal workload.Calibration) stats.Summary {
+// store built with the given shard-lock factory. With reshard set, a
+// skew detector watches the per-shard traffic share and lock-wait
+// fraction and splits sustained hot shards mid-run (the zipf head
+// concentrates on a couple of shards; fission spreads the convoy).
+func runService(name string, factory locks.Factory, useSLO, reshard bool, threads, bigsN int, cal workload.Calibration) stats.Summary {
 	shim := workload.DefaultShim()
 	csUnits := cal.Units(2 * time.Microsecond)
 	cfg := shardedkv.Config{
@@ -69,14 +64,6 @@ func runService(name string, factory locks.Factory, useSLO, pipeline, reshard bo
 		}
 	}
 	st := shardedkv.New(cfg)
-	// Both front ends satisfy the one shardedkv.KV surface; the service
-	// loop never needs to know which one it is driving.
-	var api shardedkv.KV = st
-	var async *shardedkv.AsyncStore
-	if pipeline {
-		async = shardedkv.NewAsync(st, shardedkv.AsyncConfig{MaxBatch: 16})
-		api = async
-	}
 	loader := core.NewWorker(core.WorkerConfig{Class: core.Big})
 	for k := uint64(0); k < keyspace; k += 2 {
 		st.Put(loader, k, []byte("seed"))
@@ -106,17 +93,17 @@ func runService(name string, factory locks.Factory, useSLO, pipeline, reshard bo
 				if useSLO {
 					w.EpochStart(epochID)
 					if mix.Draw(rng.Uint64()) == workload.OpGet {
-						api.Get(w, k)
+						st.Get(w, k)
 					} else {
-						api.Put(w, k, val)
+						st.Put(w, k, val)
 					}
 					lat = w.EpochEnd(epochID, slo)
 				} else {
 					s := w.Now()
 					if mix.Draw(rng.Uint64()) == workload.OpGet {
-						api.Get(w, k)
+						st.Get(w, k)
 					} else {
-						api.Put(w, k, val)
+						st.Put(w, k, val)
 					}
 					lat = w.Now() - s
 				}
@@ -135,17 +122,6 @@ func runService(name string, factory locks.Factory, useSLO, pipeline, reshard bo
 	// touched shard's lock once — at most numShards acquisitions for
 	// 64 point-reads.
 	bw := core.NewWorker(core.WorkerConfig{Class: core.Big})
-	if async != nil {
-		// Drain and retire the pipeline: Flush completes everything
-		// enqueued so far, Close seals the front end. The wrapped
-		// Store keeps serving the epilogues below.
-		async.Flush(bw)
-		async.Close(bw)
-		c := async.AggregateCombineStats()
-		fmt.Printf("  %-12s combining: %d ops over %d lock takes = %.2f ops/take; %d handoffs, queue highwater %d, big/little takes %d/%d\n",
-			name+":", c.Combined, c.LockTakes, c.OpsPerLockTake(),
-			c.Handoffs, c.DepthHW, c.BigTakes, c.LittleTakes)
-	}
 	if reshard {
 		st.StopReshard()
 		rs := st.ReshardStats()
@@ -212,10 +188,9 @@ func main() {
 	}
 
 	rows := []stats.Summary{
-		runService("sync-mutex", locks.FactorySyncMutex(), false, false, false, threads, bigsN, cal),
-		runService("libasl", aslFactory, true, false, false, threads, bigsN, cal),
-		runService("pipe-asl", aslFactory, true, true, false, threads, bigsN, cal),
-		runService("rs-pipe-asl", aslFactory, true, true, true, threads, bigsN, cal),
+		runService("sync-mutex", locks.FactorySyncMutex(), false, false, threads, bigsN, cal),
+		runService("libasl", aslFactory, true, false, threads, bigsN, cal),
+		runService("rs-asl", aslFactory, true, true, threads, bigsN, cal),
 	}
 	fmt.Println()
 	fmt.Print(stats.FormatSummaries(rows))
@@ -257,13 +232,10 @@ func main() {
 	fmt.Printf("\nreading: with spare cores and emulated asymmetry, libasl holds big\n" +
 		"P99 under sync-mutex's while little P99 stays bounded by the SLO —\n" +
 		"the paper's Fig. 4 trade, realised per shard instead of per global\n" +
-		"lock. pipe-asl pushes the same trade further: little cores enqueue\n" +
-		"and big cores combine, so the hot shard serves whole queues per\n" +
-		"lock take (ops/take above 1) instead of one handoff per op.\n" +
-		"rs-pipe-asl adds skew-adaptive resharding: a shard that sustains a\n" +
-		"convoy despite combining (deep queues, high lock-wait fraction)\n" +
-		"splits in place — zero splits here simply means combining absorbed\n" +
-		"the skew on this host. On a small or heavily loaded host the\n" +
-		"wall-clock numbers are noisy; use cmd/kvbench -pipeline -reshard\n" +
+		"lock. rs-asl adds skew-adaptive resharding: a shard that sustains\n" +
+		"a convoy (a high traffic share and lock-wait fraction) splits in\n" +
+		"place — zero splits here simply means the skew never crossed the\n" +
+		"detector's threshold on this host. On a small or heavily loaded\n" +
+		"host the wall-clock numbers are noisy; use cmd/kvbench -reshard\n" +
 		"for longer, repeated sweeps.\n")
 }

@@ -26,8 +26,8 @@ func MethodCall(call *ast.CallExpr) (recv ast.Expr, name string, ok bool) {
 
 // ExprKey renders e as a canonical lock identity string: selector
 // chains print as written ("q.sh.lock"), and a trailing ".lock" field
-// is stripped so a region opened by sh.electTry(w) (which acquires
-// sh.lock) matches the closing sh.lock.Release(w). Expressions that
+// is stripped so a region opened through the shard (sh) matches the
+// closing sh.lock.Release(w). Expressions that
 // are not pure ident/selector chains (calls, indexing) get a unique
 // key and therefore never pair.
 func ExprKey(e ast.Expr) string {
@@ -74,8 +74,8 @@ const (
 //
 // Matching is by method name and arity only (no package check), so
 // the passes work identically on the real tree and on import-free
-// fixture stand-ins. Helpers that acquire under other names (electTry,
-// LockCohort) are covered by the lockorder pass's per-function
+// fixture stand-ins. Helpers that acquire under other names
+// (acquireLive) are covered by the lockorder pass's per-function
 // summaries instead.
 func LockCall(call *ast.CallExpr) (recv ast.Expr, verb LockVerb, ok bool) {
 	recv, name, isMethod := MethodCall(call)

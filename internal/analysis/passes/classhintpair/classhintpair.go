@@ -8,7 +8,7 @@
 //
 // A leaked hint is the serving-boundary failure mode: the next request
 // on the connection would run under the previous request's SLO class,
-// silently steering lock admission, combiner election and epoch
+// silently steering lock admission, the WAL sync policy and epoch
 // feedback with a stale class. The race window is invisible to the
 // race detector (Worker is single-goroutine by design), which is why
 // this is a static check.

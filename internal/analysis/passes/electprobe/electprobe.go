@@ -1,25 +1,25 @@
 // Package electprobe keeps the skew detector's contention counters
-// clean: combiner-election probes must go through the blessed
-// shard.electTry helper, never through a bare TryAcquire.
+// clean: no code outside the lock machinery probes a shard lock with a
+// bare TryAcquire.
 //
 // The resharding heuristic (shardedkv) reads locks.Contended's
 // attempts/contended ratio to decide when a shard is hot enough to
 // split. Contended.TryAcquire counts a failed try as contention — the
-// right semantics for sync-path users, and exactly the wrong one for
-// election probes, which fail by design at every losing election and
-// would make an idle-but-combined shard look contended. electTry
-// probes the wrapped lock via Contended.Inner(), bypassing the
-// counters; this pass makes that the only way to write an election.
+// right semantics for a caller that then waits, and exactly the wrong
+// one for an opportunistic probe, which fails by design whenever the
+// lock is busy and would make a merely popular shard look convoyed.
+// The store therefore takes shard locks only with blocking Acquire;
+// this pass keeps it that way.
 //
 // Flagged:
 //
 //   - any X.TryAcquire(...) call where X's static type is the
-//     Contended wrapper (its counting TryAcquire is never an election
-//     probe's business);
+//     Contended wrapper (its counting TryAcquire is never a probe's
+//     business);
 //   - any other X.TryAcquire(...) call outside a function named
-//     electTry, TryAcquire or Acquire — the latter two names exempt
-//     lock implementations and wrappers (locks package adapters,
-//     Contended itself) that legitimately forward the probe downward.
+//     TryAcquire or Acquire — those names exempt lock implementations
+//     and wrappers (locks package adapters, Contended itself) that
+//     legitimately forward the probe downward.
 package electprobe
 
 import (
@@ -31,14 +31,13 @@ import (
 // Analyzer is the electprobe pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "electprobe",
-	Doc:  "check that combiner elections use shard.electTry, not a counter-polluting bare TryAcquire",
+	Doc:  "check that no code outside the lock machinery probes with a counter-polluting bare TryAcquire",
 	Run:  run,
 }
 
 // exemptFuncs are the enclosing-function names inside which a forwarded
 // TryAcquire is part of the lock machinery itself.
 var exemptFuncs = map[string]bool{
-	"electTry":   true,
 	"TryAcquire": true,
 	"Acquire":    true,
 }
@@ -66,11 +65,11 @@ func checkFunc(pass *analysis.Pass, fname string, body *ast.BlockStmt) {
 			return true
 		}
 		if analysis.NamedRecvType(pass.TypesInfo, recv) == "Contended" {
-			pass.Reportf(call.Pos(), "TryAcquire on a locks.Contended counts a failed probe as contention; probe via Inner() inside electTry")
+			pass.Reportf(call.Pos(), "TryAcquire on a locks.Contended counts a failed probe as contention; take the lock with Acquire")
 			return true
 		}
 		if !exemptFuncs[fname] {
-			pass.Reportf(call.Pos(), "bare TryAcquire outside electTry: election probes must use shard.electTry so Contended counters stay clean")
+			pass.Reportf(call.Pos(), "bare TryAcquire outside the lock machinery: probes would pollute the Contended counters; take the lock with Acquire")
 		}
 		return true
 	})

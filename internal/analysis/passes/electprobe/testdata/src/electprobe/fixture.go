@@ -1,7 +1,6 @@
 // Fixture for the electprobe pass: stand-ins for locks.WLock and
-// locks.Contended, the blessed electTry shape, and the two violation
-// shapes (bare probe outside electTry; probe through the counting
-// Contended wrapper).
+// locks.Contended, and the two violation shapes (bare probe outside
+// the lock machinery; probe through the counting Contended wrapper).
 package electprobe
 
 type Worker struct{}
@@ -17,8 +16,6 @@ type Contended struct {
 	inner    WLock
 	attempts int
 }
-
-func (c *Contended) Inner() *WLock { return &c.inner }
 
 func (c *Contended) TryAcquire(w *Worker) bool {
 	c.attempts++
@@ -38,19 +35,10 @@ type shard struct {
 	cont *Contended
 }
 
-// electTry is the blessed helper: probes bypass the Contended
-// counters via Inner().
-func (sh *shard) electTry(w *Worker) bool {
-	if sh.cont != nil {
-		return sh.cont.Inner().TryAcquire(w)
-	}
-	return sh.lock.TryAcquire(w)
-}
-
 // --- violations ---
 
 func badBareProbe(sh *shard, w *Worker) bool {
-	return sh.lock.TryAcquire(w) // want `bare TryAcquire outside electTry`
+	return sh.lock.TryAcquire(w) // want `bare TryAcquire outside the lock machinery`
 }
 
 func badContendedProbe(c *Contended, w *Worker) bool {
@@ -58,10 +46,6 @@ func badContendedProbe(c *Contended, w *Worker) bool {
 }
 
 // --- conforming ---
-
-func okViaHelper(sh *shard, w *Worker) bool {
-	return sh.electTry(w)
-}
 
 func okBlockingAcquire(sh *shard, w *Worker) {
 	sh.lock.Acquire(w)

@@ -1,7 +1,7 @@
 // Fixture for the lockheldcall pass: import-free stand-ins for the
 // shard lock and store API, violating and conforming critical-section
 // shapes — including the TryAcquire-success-branch and the negated
-// early-return election form.
+// early-return try form.
 package lockheldcall
 
 type Worker struct{}
@@ -13,8 +13,6 @@ func (l *WLock) Release(w *Worker)         { l.held = false }
 func (l *WLock) TryAcquire(w *Worker) bool { return !l.held }
 
 type shard struct{ lock WLock }
-
-func (sh *shard) electTry(w *Worker) bool { return sh.lock.TryAcquire(w) }
 
 // Store is the fixture's stand-in for the re-entrant public API.
 type Store struct{}
@@ -71,8 +69,8 @@ func badTrySuccessBranch(sh *shard, w *Worker, fn func(int)) {
 	}
 }
 
-func badElectEarlyReturn(sh *shard, w *Worker, ch chan int) {
-	if !sh.electTry(w) {
+func badTryEarlyReturn(sh *shard, w *Worker, ch chan int) {
+	if !sh.lock.TryAcquire(w) {
 		return
 	}
 	ch <- 1 // want `channel send while a shard lock is held`
@@ -99,8 +97,8 @@ func badCommitUnderLock(sh *shard, w *Worker, lg *Log) {
 	sh.lock.Release(w)
 }
 
-func badSyncUnderElection(sh *shard, w *Worker, lg *Log) {
-	if !sh.electTry(w) {
+func badSyncUnderTry(sh *shard, w *Worker, lg *Log) {
+	if !sh.lock.TryAcquire(w) {
 		return
 	}
 	_ = lg.Sync() // want `wal\.Log\.Sync issues fsync while a shard lock is held`
@@ -125,8 +123,8 @@ func badRevokeUnderLock(sh *shard, w *Worker, b *Biased) {
 	sh.lock.Release(w)
 }
 
-func badRevokeUnderElection(sh *shard, w *Worker, b *Biased) {
-	if !sh.electTry(w) {
+func badRevokeUnderTry(sh *shard, w *Worker, b *Biased) {
+	if !sh.lock.TryAcquire(w) {
 		return
 	}
 	b.Revoke(w) // want `locks\.Biased\.Revoke waits out the owner's grace period while a shard lock is held`
@@ -171,8 +169,8 @@ func okUnexportedHelper(sh *shard, w *Worker, st *Store) {
 	sh.lock.Release(w)
 }
 
-func okElectedThenReleased(sh *shard, w *Worker, fn func(int)) {
-	if !sh.electTry(w) {
+func okTriedThenReleased(sh *shard, w *Worker, fn func(int)) {
+	if !sh.lock.TryAcquire(w) {
 		return
 	}
 	v := 2

@@ -12,9 +12,9 @@
 // per-function summaries (AcquiresFact) — the classes a function may
 // acquire, may release, and may still hold when it returns — computed
 // to a fixpoint within the package and exported as object facts, so
-// sh.electTry(w) (which returns holding sh.lock) and Cohort.Lock
-// (which returns holding both cohort levels) shape their callers'
-// held-sets across package boundaries. Every acquire that happens
+// a helper like Store.acquireLive (which returns holding the live
+// shard's lock) shapes its callers' held-sets across package
+// boundaries. Every acquire that happens
 // while classes are held contributes held→acquired edges; the
 // per-package union rides a cumulative GraphFact package fact along
 // the import DAG, so by the time kvserver is analyzed the graph spans
@@ -28,10 +28,10 @@
 //	rank 0  *.splitMu        Store.splitMu, the split rendezvous
 //	rank 1  *.shard.lock     shard locks; ancestor before descendant,
 //	                         same-class nesting only under splitMu
-//	rank 2  everything else  engine/pipeline/server-internal locks
-//	                         (AsyncStore.mu, Cohort.global, Server.mu,
-//	                         serverConn.mu, ...): innermost, must not
-//	                         wrap back around a shard lock
+//	rank 2  everything else  engine/WAL/server-internal locks
+//	                         (wal.Log.mu, Server.mu, serverConn.mu,
+//	                         ...): innermost, must not wrap back
+//	                         around a shard lock
 //
 // Ranks are matched by class-name suffix so fixture stand-ins rank the
 // same as the real tree. Three checks run on every edge added by the
@@ -47,11 +47,13 @@
 //   - cycles: an edge whose target can already reach its source in the
 //     accumulated whole-program graph closes a deadlock-capable cycle.
 //
-// Static class-level tracking cannot tell shard instances apart, so
-// the deliberately ordered ancestor→descendant hops the pipeline
-// performs outside splitMu (execForwarded and friends) are reported
-// and carry //lint:ignore justifications citing the protocol that
-// makes them acyclic — the suppression is the reviewable artifact.
+// Static class-level tracking cannot tell shard instances apart, so a
+// deliberately ordered ancestor→descendant hop taken outside splitMu
+// would be reported and must carry a //lint:ignore justification
+// citing the protocol that makes it acyclic — the suppression is the
+// reviewable artifact. The store's forward-chasing paths
+// (acquireLiveFrom, execGrouped, forEachLive) release the stale lock
+// before taking the child's, so they never nest.
 package lockorder
 
 import (
@@ -84,9 +86,8 @@ type AcquiresFact struct {
 	// via defer).
 	Releases []string
 	// ReturnsHeld lists classes that may still be held when the
-	// function returns — for a bool-returning function (electTry,
-	// TryLockCohort) callers treat these as held on the true branch
-	// only.
+	// function returns — for a bool-returning function (a try
+	// helper) callers treat these as held on the true branch only.
 	ReturnsHeld []string
 }
 
@@ -509,7 +510,7 @@ func (r *runner) noteAcquire(pos token.Pos, class string, held map[string]bool) 
 
 // tryClasses returns the classes conditionally held by a branch
 // condition: a direct TryAcquire/TryLock's class, or the callee's
-// ReturnsHeld for helpers like electTry that return holding a lock.
+// ReturnsHeld for try helpers that return holding a lock.
 func (r *runner) tryClasses(cond ast.Expr) []string {
 	call, ok := ast.Unparen(cond).(*ast.CallExpr)
 	if !ok {

@@ -18,9 +18,9 @@ type Store struct {
 	shards  []*shard
 }
 
-// electTry stands in for the combiner election probe: on success it
-// returns holding sh.lock (ReturnsHeld in its exported summary).
-func (sh *shard) electTry(w *locksfix.Worker) bool {
+// tryLock stands in for a try helper: on success it returns holding
+// sh.lock (ReturnsHeld in its exported summary).
+func (sh *shard) tryLock(w *locksfix.Worker) bool {
 	return sh.lock.TryAcquire(w)
 }
 
@@ -78,10 +78,10 @@ func (s *Store) splitFromShard(w *locksfix.Worker, sh *shard) {
 }
 
 // maybeSplit exercises the try-branch refinement through a callee
-// summary: when electTry fails nothing is held, so taking splitMu on
+// summary: when tryLock fails nothing is held, so taking splitMu on
 // that path is clean — a flow-insensitive pass would flag it.
 func (s *Store) maybeSplit(w *locksfix.Worker, sh *shard) {
-	if !sh.electTry(w) {
+	if !sh.tryLock(w) {
 		s.splitMu.Acquire(w)
 		s.splitMu.Release(w)
 		return

@@ -108,8 +108,8 @@ func NewWorker(cfg WorkerConfig) *Worker {
 
 // Class returns the worker's effective core class: the per-operation
 // hint when one is installed (SetClassHint), the base class otherwise.
-// Every consumer of class — lock acquire paths, combiner election,
-// spin-vs-park waiting, CSPad keying — reads the class through here,
+// Every consumer of class — lock acquire paths, the WAL sync policy,
+// epoch feedback, CSPad keying — reads the class through here,
 // so a hint re-classes a single operation end to end.
 func (w *Worker) Class() Class {
 	if w.hinted {

@@ -7,8 +7,8 @@ import (
 )
 
 // These are the repository's headline integration tests: each checks
-// the qualitative shape targets of one paper figure (DESIGN.md §4)
-// against the simulator. Absolute values are model-dependent;
+// the qualitative shape targets of one paper figure against the
+// simulator. Absolute values are model-dependent;
 // orderings, crossovers and SLO-tracking are what the paper's claims
 // rest on.
 

@@ -2,7 +2,7 @@
 // (§4) on the discrete-event AMP simulator, plus real-engine variants
 // where meaningful. Each FigXX function returns a harness.Figure whose
 // rows/series correspond one-to-one to the paper's plots; integration
-// tests assert the qualitative shape targets listed in DESIGN.md §4.
+// tests (figures_test.go) assert each figure's qualitative shape.
 package figures
 
 import (

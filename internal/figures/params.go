@@ -6,9 +6,9 @@ import (
 	"repro/internal/simlock"
 )
 
-// Calibration constants for the simulated M1 (see EXPERIMENTS.md for
-// the rationale). All durations are big-core nanoseconds; little-core
-// durations follow from the machine's class factors.
+// Calibration constants for the simulated M1. All durations are
+// big-core nanoseconds; little-core durations follow from the
+// machine's class factors.
 const (
 	// LineRMWNs is the cost of read-modify-writing one contended
 	// shared cache line on a big core (the line bounces between cores,

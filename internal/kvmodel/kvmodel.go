@@ -1,11 +1,11 @@
 // Package kvmodel is the shared model-equivalence harness for every
-// shardedkv.KV front end: the plain Store, the combining AsyncStore, a
-// classed view, a durable store mid-checkpoint — and, through the
-// kvsoak chaos driver, a whole server across kill -9 restarts. Each
-// harness worker owns a private key stripe (key = (i%128)*workers+wi)
-// and mirrors every operation on a private map; with no cross-worker
-// key sharing, every return value is exactly predictable no matter
-// what splits, combiners, checkpoints, or crashes happen underneath.
+// shardedkv.KV handle: the plain Store, a classed view, a durable store
+// mid-checkpoint — and, through the kvsoak chaos driver, a whole server
+// across kill -9 restarts. Each harness worker owns a private key
+// stripe (key = (i%128)*workers+wi) and mirrors every operation on a
+// private map; with no cross-worker key sharing, every return value is
+// exactly predictable no matter what splits, checkpoints, or crashes
+// happen underneath.
 //
 // The package lives outside shardedkv's test files so that external
 // consumers (package shardedkv_test, the soak binary's future unit
@@ -50,13 +50,10 @@ func DecodeVerValue(k uint64, v []byte) (ver uint64, ok bool) {
 
 // Drive stresses kv with `workers` concurrent goroutines (alternating
 // big/little class) for opsPer ops each, checking every return value
-// against the per-worker model as it goes. ff, when non-nil, is the
-// fire-and-forget write path (AsyncStore.PutAsync): that case submits
-// then immediately Gets the same key, pinning the per-worker
-// read-your-write FIFO contract. With ff nil the case runs an ordered
-// full-stripe Range instead. Returns the union of the workers' final
+// against the per-worker model as it goes; one op in eight is an
+// ordered full-stripe Range. Returns the union of the workers' final
 // models — the store's expected live contents over [0, 128*workers).
-func Drive(t TB, kv shardedkv.KV, ff func(w *core.Worker, k uint64, v []byte), workers, opsPer int) map[uint64][]byte {
+func Drive(t TB, kv shardedkv.KV, workers, opsPer int) map[uint64][]byte {
 	t.Helper()
 	final := make(map[uint64][]byte)
 	var finalMu sync.Mutex
@@ -132,31 +129,17 @@ func Drive(t TB, kv shardedkv.KV, ff func(w *core.Worker, k uint64, v []byte), w
 						}
 					}
 				default:
-					if ff != nil {
-						// Fire-and-forget write, then a barrier via a
-						// waited Get on the same shard FIFO: the ring
-						// preserves this worker's order.
-						ver++
-						v := VerValue(k, ver)
-						ff(w, k, v)
-						model[k] = v
-						got, ok := kv.Get(w, k)
-						if !ok || !bytes.Equal(got, v) {
-							t.Errorf("worker %d: Get(%d) after ff put = %x,%v; want %x", wi, k, got, ok, v)
+					// Ordered scan across every worker's stripe (all
+					// owned keys are < 128*workers): order must hold
+					// whatever fissions underneath.
+					prev, first := uint64(0), true
+					kv.Range(w, 0, 128*uint64(workers), func(sk uint64, sv []byte) bool {
+						if !first && sk <= prev {
+							t.Errorf("Range emitted %d after %d", sk, prev)
 						}
-					} else {
-						// Ordered scan across every worker's stripe (all
-						// owned keys are < 128*workers): order must hold
-						// whatever fissions underneath.
-						prev, first := uint64(0), true
-						kv.Range(w, 0, 128*uint64(workers), func(sk uint64, sv []byte) bool {
-							if !first && sk <= prev {
-								t.Errorf("Range emitted %d after %d", sk, prev)
-							}
-							prev, first = sk, false
-							return true
-						})
-					}
+						prev, first = sk, false
+						return true
+					})
 				}
 			}
 			for i := uint64(0); i < 128; i++ {

@@ -37,8 +37,8 @@ type AdmissionConfig struct {
 }
 
 // DefaultBulkPerShard is the default per-shard bulk in-flight bound.
-// Small on purpose: one combining drain already serves a whole ring,
-// so a handful of concurrent bulk entrants saturate a shard.
+// Small on purpose: a shard serves one holder at a time, so a handful
+// of concurrent bulk entrants saturate it.
 const DefaultBulkPerShard = 4
 
 // globalGate keys the gate shared by multi-shard ops.

@@ -81,7 +81,7 @@ func TestArchitectureDocCoversServingPath(t *testing.T) {
 	doc := repoFile(t, "ARCHITECTURE.md")
 	for _, want := range []string{
 		"kvclient", "kvserver", "admission", "shard map", "ASL",
-		"combiner", "docs/protocol.md", "ClassHint",
+		"commit leader", "docs/protocol.md", "ClassHint",
 		// The machine-checked invariants section and its analyzers.
 		"Enforced invariants", "repolint", "classhintpair",
 		"lockheldcall", "lockorder", "atomicfield",
@@ -98,7 +98,7 @@ func TestArchitectureDocCoversServingPath(t *testing.T) {
 		"StatusErrUnavailable", "IsRetryable", "kvsoak", "make soak",
 		"statustext",
 		// Biased locking (§6a) and its load-bearing names.
-		"Biased locking", "locks.Biased", "revocation", "HintAdopt",
+		"Biased locking", "locks.Biased", "revocation", "adoption window",
 		"Revoke", "bias_revocations",
 	} {
 		if !strings.Contains(doc, want) {

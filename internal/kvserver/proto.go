@@ -2,13 +2,12 @@
 // asymmetry-aware KV layer: a length-prefixed binary protocol over TCP
 // in which EVERY request carries an SLO class byte that the server
 // maps to the lock class used for that operation. Interactive requests
-// run big-class (ASL fast path; under the combining pipeline they
-// elect and spin), bulk requests run little-class (reorder/standby at
-// the lock; under the pipeline they enqueue and park) — per-request
-// admission at the serving boundary, replacing per-goroutine class
-// assignment. A class-aware admission gate additionally bounds
-// in-flight bulk operations per shard (interactive traffic bypasses
-// it), in the spirit of Dice & Kogan's concurrency restriction.
+// run big-class (ASL fast path), bulk requests run little-class
+// (reorder/standby at the lock) — per-request admission at the serving
+// boundary, replacing per-goroutine class assignment. A class-aware
+// admission gate additionally bounds in-flight bulk operations per
+// shard (interactive traffic bypasses it), in the spirit of Dice &
+// Kogan's concurrency restriction.
 //
 // The wire format is specified normatively in docs/protocol.md; this
 // file is the codec. Frames are length-prefixed; the decoder treats
@@ -70,12 +69,11 @@ const (
 // contract, which the server maps to the lock class of the operation.
 const (
 	// ClassInteractive marks latency-sensitive requests: big-class at
-	// the shard lock (immediate FIFO admission; elect/combine/spin on
-	// the pipeline), admission-gate bypass.
+	// the shard lock (immediate FIFO admission), admission-gate bypass.
 	ClassInteractive uint8 = 0x00
 	// ClassBulk marks throughput/batch requests: little-class at the
-	// shard lock (reorder window standby; enqueue/park on the
-	// pipeline), bounded per-shard in-flight admission.
+	// shard lock (reorder window standby), bounded per-shard in-flight
+	// admission.
 	ClassBulk uint8 = 0x01
 )
 

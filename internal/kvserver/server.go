@@ -28,10 +28,6 @@ const (
 type Config struct {
 	// Store is the served store (required).
 	Store *shardedkv.Store
-	// Async, if non-nil, routes operations through the combining
-	// pipeline instead of per-op locking: interactive requests elect
-	// and combine, bulk requests enqueue and park. It must wrap Store.
-	Async *shardedkv.AsyncStore
 	// SLOInteractive and SLOBulk are the per-class latency SLOs. A
 	// positive value wraps each request of that class in an SLO epoch
 	// (EpochStart/EpochEnd with the class's epoch id), so ASL shard
@@ -52,12 +48,9 @@ type Config struct {
 // so one connection may interleave interactive and bulk operations and
 // each still reaches the shard lock under its own class.
 type Server struct {
-	// st answers placement queries (ShardOf, NumShards, MapEpoch); kv
-	// is the operation surface — the plain store, or the combining
-	// pipeline when Config.Async is set. Every request path goes
-	// through kv, so the server is front-end-agnostic past New.
+	// st is both the operation surface and the answer to placement
+	// queries (ShardOf, NumShards, MapEpoch).
 	st   *shardedkv.Store
-	kv   shardedkv.KV
 	sloI int64
 	sloB int64
 	adm  *admission
@@ -75,21 +68,13 @@ type Server struct {
 	truncates atomic.Uint64    // Range responses clamped to MaxRangePairs
 }
 
-// New builds a server over cfg.Store (and cfg.Async when set).
+// New builds a server over cfg.Store.
 func New(cfg Config) (*Server, error) {
 	if cfg.Store == nil {
 		return nil, errors.New("kvserver: Config.Store is required")
 	}
-	if cfg.Async != nil && cfg.Async.Store() != cfg.Store {
-		return nil, errors.New("kvserver: Config.Async does not wrap Config.Store")
-	}
-	kv := shardedkv.KV(cfg.Store)
-	if cfg.Async != nil {
-		kv = cfg.Async
-	}
 	return &Server{
 		st:      cfg.Store,
-		kv:      kv,
 		sloI:    int64(cfg.SLOInteractive),
 		sloB:    int64(cfg.SLOBulk),
 		adm:     newAdmission(cfg.Admission),
@@ -259,8 +244,9 @@ func writeAll(bw *bufio.Writer, b []byte) error {
 }
 
 // lockClassOf maps the wire class byte to the lock class: interactive
-// requests act big (lock fast path, elect/combine/spin), bulk requests
-// act little (reorder standby, enqueue/park).
+// requests act big (lock fast path; under the default WAL policy they
+// wait for group commit), bulk requests act little (reorder standby;
+// they ack after the buffered append).
 func lockClassOf(class uint8) core.Class {
 	if class == ClassBulk {
 		return core.Little
@@ -304,8 +290,8 @@ func (s *Server) execute(w *core.Worker, sc *serverConn, req *Request, out []byt
 
 	// The ClassHint path: the request's SLO class becomes the worker's
 	// effective class for exactly this operation, steering the shard
-	// lock's admission policy, combiner election, spin-vs-park waiting
-	// and the CSPad keying. An SLO-configured class additionally runs
+	// lock's admission policy, the WAL sync policy and the CSPad
+	// keying. An SLO-configured class additionally runs
 	// inside its class's epoch, so ASL locks learn per-class reorder
 	// windows from per-request latency feedback.
 	w.SetClassHint(lc)
@@ -325,28 +311,28 @@ func (s *Server) execute(w *core.Worker, sc *serverConn, req *Request, out []byt
 	ops := uint64(1)
 	switch req.Op {
 	case OpGet:
-		v, ok := s.kv.Get(w, req.Key)
+		v, ok := s.st.Get(w, req.Key)
 		out, encErr = AppendGetResponse(out, req.ID, v, ok)
 	case OpPut:
 		// The decoded value aliases the connection's frame buffer,
 		// which the next ReadFrame reuses; the store retains values by
 		// reference, so copy before storing.
 		v := append([]byte(nil), req.Value...)
-		ok, werr := s.kv.Put(w, req.Key, v)
+		ok, werr := s.st.Put(w, req.Key, v)
 		if werr != nil {
 			kvErr = werr
 		} else {
 			out, encErr = AppendBoolResponse(out, req.ID, ok)
 		}
 	case OpDelete:
-		ok, werr := s.kv.Delete(w, req.Key)
+		ok, werr := s.st.Delete(w, req.Key)
 		if werr != nil {
 			kvErr = werr
 		} else {
 			out, encErr = AppendBoolResponse(out, req.ID, ok)
 		}
 	case OpMultiGet:
-		vals, found := s.kv.MultiGet(w, req.Keys)
+		vals, found := s.st.MultiGet(w, req.Keys)
 		ops = uint64(len(req.Keys))
 		out, encErr = AppendMultiGetResponse(out, req.ID, vals, found)
 	case OpMultiPut:
@@ -354,7 +340,7 @@ func (s *Server) execute(w *core.Worker, sc *serverConn, req *Request, out []byt
 		for i, kv := range req.KVs {
 			kvs[i] = shardedkv.Pair{Key: kv.Key, Value: append([]byte(nil), kv.Value...)}
 		}
-		inserted, werr := s.kv.MultiPut(w, kvs)
+		inserted, werr := s.st.MultiPut(w, kvs)
 		ops = uint64(len(kvs))
 		if werr != nil {
 			kvErr = werr
@@ -376,19 +362,17 @@ func (s *Server) execute(w *core.Worker, sc *serverConn, req *Request, out []byt
 			kvs = append(kvs, shardedkv.Pair{Key: k, Value: v})
 			return true
 		}
-		s.kv.Range(w, req.Lo, req.Hi, collect)
+		s.st.Range(w, req.Lo, req.Hi, collect)
 		if more {
 			s.truncates.Add(1)
 		}
 		ops = uint64(max(len(kvs), 1))
 		out, encErr = AppendRangeResponse(out, req.ID, kvs, more)
 	case OpFlush:
-		// KV.Flush is the write AND durability barrier: on the async
-		// front end it drains the rings first; on either front end it
-		// group-commits every shard log when durability is configured.
-		// A sync failure here is how fire-and-forget (bulk) write
-		// errors reach the wire.
-		if ferr := s.kv.Flush(w); ferr != nil {
+		// Store.Flush is the durability barrier: it group-commits every
+		// shard log when durability is configured. A sync failure here
+		// is how async-acked (bulk) write errors reach the wire.
+		if ferr := s.st.Flush(w); ferr != nil {
 			kvErr = ferr
 		} else {
 			out, encErr = AppendEmptyResponse(out, req.ID)

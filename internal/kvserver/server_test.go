@@ -120,43 +120,6 @@ func TestClientServerBasic(t *testing.T) {
 	}
 }
 
-// TestPipelinedServer runs the basics against a combining-pipeline
-// server (AsyncStore under the protocol).
-func TestPipelinedServer(t *testing.T) {
-	st := shardedkv.New(shardedkv.Config{Shards: 2})
-	async := shardedkv.NewAsync(st, shardedkv.AsyncConfig{})
-	srv, err := kvserver.New(kvserver.Config{Store: st, Async: async})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Listen("127.0.0.1:0"); err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { srv.Close() })
-	cl := dial(t, srv.Addr().String())
-
-	for k := uint64(0); k < 128; k++ {
-		class := kvserver.ClassInteractive
-		if k%2 == 0 {
-			class = kvserver.ClassBulk
-		}
-		if _, err := cl.Put(class, k, []byte{byte(k)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := cl.Flush(kvserver.ClassBulk); err != nil {
-		t.Fatal(err)
-	}
-	kvs, _, err := cl.Range(kvserver.ClassBulk, 0, 1000, 0)
-	if err != nil || len(kvs) != 128 {
-		t.Fatalf("range after pipelined puts: %d pairs, err=%v", len(kvs), err)
-	}
-	comb := async.AggregateCombineStats()
-	if comb.Combined == 0 {
-		t.Fatal("pipeline server executed nothing through the combiner")
-	}
-}
-
 // TestClientVsModelLinearizability runs concurrent clients, each
 // owning a disjoint key stripe with a local model, checking every
 // response against the model and the final state against a full scan.

@@ -15,12 +15,9 @@ type WLock interface {
 	Acquire(w *core.Worker)
 	Release(w *core.Worker)
 	// TryAcquire acquires the lock iff it is immediately available,
-	// without queueing or standing by. The flat-combining pipeline uses
-	// it for combiner election: whoever wins the try drains the shard's
-	// request queue on everyone else's behalf, so a failed try means
-	// "someone else is (or is about to be) combining" and the caller
-	// should keep waiting on its request instead of piling onto the
-	// queue lock.
+	// without queueing or standing by. Contended uses it as its
+	// opening probe, and Biased absorbs foreign tries against a live
+	// bias.
 	TryAcquire(w *core.Worker) bool
 }
 
@@ -41,8 +38,8 @@ func (p plainW) Release(w *core.Worker) { p.l.Unlock() }
 
 // TryAcquire tries the wrapped lock. A Locker without TryLock degrades
 // to a blocking acquire that always reports success: mutual exclusion
-// is preserved and combiner election still terminates, it just loses
-// its non-blocking fast-fail (no such lock exists in this repository).
+// is preserved, only the non-blocking fast-fail is lost (no such lock
+// exists in this repository).
 func (p plainW) TryAcquire(w *core.Worker) bool {
 	if p.try != nil {
 		return p.try()

@@ -6,7 +6,7 @@ import (
 )
 
 // BargingMutex is a futex-style blocking mutex with barging, standing
-// in for glibc's pthread_mutex_lock in the evaluation (see DESIGN.md).
+// in for glibc's pthread_mutex_lock in the evaluation.
 // It reproduces the two properties the paper's analysis relies on:
 //
 //   - no FIFO order: a newly arriving thread can seize a just-released

@@ -27,13 +27,11 @@ import (
 //
 // The cookie is one-shot: a revoked bias never resurrects; a new
 // adoption mints a fresh cookie. Adoption happens only in the
-// slow-path release while the wrapped lock is held, fed either by the
-// standalone windowed take counter or by an external HintAdopt from
-// the shardedkv combining pipeline's per-shard CombineStats.
+// slow-path release while the wrapped lock is held, fed by the
+// windowed take counter.
 type Biased struct {
 	inner WLock
 	owner atomic.Pointer[bownerRec]
-	hint  atomic.Pointer[core.Worker]
 	cfg   BiasedConfig
 
 	// Adoption window state. Guarded by the inner lock: only touched
@@ -75,9 +73,9 @@ type BiasedConfig struct {
 	AdoptPercent uint32
 	// RevokeTries is how many successful-but-foreign TryAcquires are
 	// absorbed (fail without revoking) before one revokes the bias
-	// (default 8). This keeps the combining pipeline's election
-	// probes from tearing down a healthy bias, while guaranteeing
-	// probes alone still reclaim an abandoned one.
+	// (default 8). This keeps opportunistic TryAcquire probes from
+	// tearing down a healthy bias, while guaranteeing probes alone
+	// still reclaim an abandoned one.
 	RevokeTries uint32
 }
 
@@ -113,8 +111,8 @@ func NewBiased(inner WLock, cfg BiasedConfig) *Biased {
 
 // FactoryBiased composes bias into a lock factory, for use in the
 // shardedkv factory/Contended/ClassProbe stack (the store wraps the
-// result with Contended, so election probes bypass the wait counters
-// and real waits against a biased shard feed the skew detector).
+// result with Contended, so real waits against a biased shard feed
+// the skew detector).
 func FactoryBiased(f Factory, cfg BiasedConfig) Factory {
 	return func() WLock { return NewBiased(f(), cfg) }
 }
@@ -162,12 +160,6 @@ func (b *Biased) Owner() *core.Worker {
 	}
 	return nil
 }
-
-// HintAdopt stages w for adoption at the next slow-path release —
-// the external adoption signal (the combining pipeline calls this
-// when CombineStats show one worker draining a shard). A hint
-// replaces the windowed counter's verdict for that release.
-func (b *Biased) HintAdopt(w *core.Worker) { b.hint.Store(w) }
 
 // Acquire takes the lock. The owner's fast path is two plain stores
 // and two loads on its cookie; everyone else (and a revoked owner)
@@ -230,22 +222,18 @@ func (b *Biased) Release(w *core.Worker) {
 // makes adoption atomic: any worker already queued on inner revokes
 // it after acquiring, via the normal handshake.
 func (b *Biased) slowRelease(w *core.Worker) {
-	target := b.hint.Swap(nil)
-	if target == nil {
-		if b.total == 0 {
-			b.cand, b.hits = w, 0
+	var target *core.Worker
+	if b.total == 0 {
+		b.cand, b.hits = w, 0
+	}
+	b.total++
+	if b.cand == w {
+		b.hits++
+	}
+	if b.total >= b.adoptWindow() {
+		if b.cand != nil && b.hits*100 >= b.total*b.adoptPercent() {
+			target = b.cand
 		}
-		b.total++
-		if b.cand == w {
-			b.hits++
-		}
-		if b.total >= b.adoptWindow() {
-			if b.cand != nil && b.hits*100 >= b.total*b.adoptPercent() {
-				target = b.cand
-			}
-			b.cand, b.hits, b.total = nil, 0, 0
-		}
-	} else {
 		b.cand, b.hits, b.total = nil, 0, 0
 	}
 	if target != nil && b.owner.Load() == nil {
@@ -259,8 +247,8 @@ func (b *Biased) slowRelease(w *core.Worker) {
 // path. A foreign try may succeed on the wrapped lock even while the
 // bias is live (the inner lock is free then — the cookie IS the
 // lock); the first RevokeTries-1 such successes are absorbed (inner
-// released, false returned) so election probes don't kill a healthy
-// bias, after which one try revokes — but only if the owner is
+// released, false returned) so opportunistic probes don't kill a
+// healthy bias, after which one try revokes — but only if the owner is
 // provably outside its CS, since a try must not block on the grace
 // period.
 func (b *Biased) TryAcquire(w *core.Worker) bool {

@@ -24,12 +24,15 @@ func biasedPair() (*Biased, *core.Worker, *core.Worker) {
 	return b, owner, other
 }
 
-// adopt installs owner as the bias owner via a hinted slow take.
+// adopt installs owner as the bias owner through the windowed take
+// counter: solo slow takes until a window closes in owner's favour
+// (at most two windows, the first possibly shared with earlier takers).
 func adopt(t *testing.T, b *Biased, owner *core.Worker) {
 	t.Helper()
-	b.HintAdopt(owner)
-	b.Acquire(owner)
-	b.Release(owner)
+	for i := uint32(0); i < 2*b.adoptWindow() && b.Owner() != owner; i++ {
+		b.Acquire(owner)
+		b.Release(owner)
+	}
 	if b.Owner() != owner {
 		t.Fatal("adoption did not take")
 	}
@@ -179,8 +182,8 @@ func TestBiasedTryAcquireStates(t *testing.T) {
 
 // TestBiasedRevocationRacesRelease races the owner's tight fast
 // acquire/release loop against concurrent Revoke calls and blocking
-// acquires, with re-adoption hints thrown in — the bias flaps while
-// ops are in flight. Accounting stays exact and -race stays quiet.
+// acquires, with the owner's solo slow takes re-adopting it through
+// the windowed counter — the bias flaps while ops are in flight. Accounting stays exact and -race stays quiet.
 func TestBiasedRevocationRacesRelease(t *testing.T) {
 	b, owner, rev := biasedPair()
 	iters := 20000
@@ -195,9 +198,6 @@ func TestBiasedRevocationRacesRelease(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			if i%512 == 0 {
-				b.HintAdopt(owner) // keep re-biasing so revocation has a target
-			}
 			b.Acquire(owner)
 			counter++
 			b.Release(owner)
@@ -280,7 +280,6 @@ func TestBiasedFlappingStorm(t *testing.T) {
 
 	owner := core.NewWorker(core.WorkerConfig{Class: core.Big})
 	for r := 0; r < rounds; r++ {
-		b.HintAdopt(owner)
 		for i := 0; i < burst; i++ {
 			enter(owner, false)
 		}

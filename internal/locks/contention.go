@@ -35,8 +35,7 @@ func (s ContentionStats) ContendedFrac() float64 {
 // reorderable layer never modifies the base lock, so a try-then-lock
 // sequence preserves each family's semantics. The one behavioural
 // shift is that the opening try can barge past a queue the blocking
-// path would have joined; that is exactly what the flat-combining
-// pipeline's combiner election already does on these locks.
+// path would have joined.
 type Contended struct {
 	inner     WLock
 	attempts  atomic.Uint64
@@ -74,13 +73,6 @@ func (c *Contended) TryAcquire(w *core.Worker) bool {
 func (c *Contended) Stats() ContentionStats {
 	return ContentionStats{Attempts: c.attempts.Load(), Contended: c.contended.Load()}
 }
-
-// Inner returns the wrapped lock, for callers whose probes must not
-// count as contention. The flat-combining pipeline elects combiners by
-// hammering TryAcquire at a fixed cadence; a failed election probe
-// means "someone is already combining", not "I waited", and counting
-// it would drown the skew detector's real wait signal.
-func (c *Contended) Inner() WLock { return c.inner }
 
 // FactoryContended wraps every lock a factory builds with contention
 // counters. The shardedkv store does this internally when dynamic

@@ -39,14 +39,12 @@ func harnessFamilies() []harnessFamily {
 		{"ttas", func() WLock { return Wrap(new(TTAS)) }},
 		{"backoff", func() WLock { return Wrap(new(Backoff)) }},
 		{"ticket", FactoryTicket()},
-		{"clh", func() WLock { return Wrap(new(CLH)) }},
 		{"mcs", FactoryMCS()},
 		{"mcspark", func() WLock { return Wrap(new(MCSPark)) }},
 		{"proportional", FactoryProportional(2)},
 		{"reorder", func() WLock { return Wrap(NewReorderable(new(MCS))) }},
 		{"asl", FactoryASL()},
 		{"asl-blocking", FactoryASLBlocking()},
-		{"cohort", func() WLock { return WrapCohort(NewCohortAMP()) }},
 		{"contended", FactoryContended(FactoryMCS())},
 		{"biased", FactoryBiased(FactorySyncMutex(), bcfg)},
 		{"biased-asl", FactoryBiased(FactoryASL(), bcfg)},

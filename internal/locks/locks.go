@@ -5,7 +5,7 @@
 //   - Ticket lock
 //   - MCS queue lock (spin) and MCS spin-then-park
 //   - BargingMutex, a futex-style unfair blocking mutex standing in for
-//     pthread_mutex_lock (see DESIGN.md substitutions)
+//     pthread_mutex_lock
 //   - Proportional, a two-queue lock equivalent to the paper's
 //     ShflLock with the proportional-based static policy (SHFL-PBn)
 //   - Reorderable, the paper's Algorithm 1 on top of any FIFO lock

@@ -28,12 +28,10 @@ func allLocks() map[string]func() full {
 		"ttas":    func() full { return new(TTAS) },
 		"backoff": func() full { return new(Backoff) },
 		"ticket":  func() full { return new(Ticket) },
-		"clh":     func() full { return new(CLH) },
 		"mcs":     func() full { return new(MCS) },
 		"mcspark": func() full { return new(MCSPark) },
 		"barging": func() full { return new(BargingMutex) },
 		"prop":    func() full { return new(Proportional) },
-		"cohort":  func() full { return NewCohortAMP() },
 		"reorder": func() full { return NewReorderable(new(MCS)) },
 	}
 }

@@ -12,7 +12,7 @@ import (
 // asymmetric hardware, systematically biased toward one core class.
 //
 // Because this reproduction runs on symmetric hardware, the hardware
-// bias does not arise by itself; SetAffinity injects it (see DESIGN.md).
+// bias does not arise by itself; SetAffinity injects it.
 // With no affinity configured, TAS behaves like a regular unfair
 // spinlock.
 type TAS struct {

@@ -2,7 +2,7 @@ package shardedkv_test
 
 // Model-equivalence checks with biased shard locks enabled: the
 // adopt/revoke lifecycle must be invisible to every KV return value,
-// whatever splits and combiner elections happen underneath. The tests
+// whatever splits happen underneath. The tests
 // live in the external test package to reuse the shared
 // internal/kvmodel harness (see durable_model_test.go).
 
@@ -62,7 +62,7 @@ func TestBiasSplitLinearizableVsModel(t *testing.T) {
 					time.Sleep(200 * time.Microsecond)
 				}
 			}()
-			kvmodel.Drive(t, st, nil, workers, opsPer)
+			kvmodel.Drive(t, st, workers, opsPer)
 			close(stop)
 			wg.Wait()
 			if st.ReshardStats().Splits == 0 {
@@ -80,66 +80,15 @@ func TestBiasSplitLinearizableVsModel(t *testing.T) {
 	}
 }
 
-// TestAsyncBiasSplitLinearizableVsModel runs the same equivalence
-// through the combining pipeline: combiner elections probe biased
-// locks, noteTake streaks stage adoption hints, and forced splits
-// revoke biased parents before the children take over. Run with -race.
-func TestAsyncBiasSplitLinearizableVsModel(t *testing.T) {
-	const workers = 6
-	opsPer := 3_000
-	if testing.Short() {
-		opsPer = 600
-	}
-	for _, spec := range shardedkv.AllEngines() {
-		t.Run(spec.Name, func(t *testing.T) {
-			st := shardedkv.New(shardedkv.Config{
-				Shards:     4,
-				NewEngine:  spec.New,
-				Reshard:    modelReshard(),
-				Bias:       true,
-				BiasConfig: biasStressCfg(),
-			})
-			a := shardedkv.NewAsync(st, shardedkv.AsyncConfig{MaxBatch: 8, RingSize: 32})
-			var wg sync.WaitGroup
-			stop := make(chan struct{})
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-				for i := uint64(0); ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					st.ForceSplit(w, i%64)
-					time.Sleep(300 * time.Microsecond)
-				}
-			}()
-			kvmodel.Drive(t, a, a.PutAsync, workers, opsPer)
-			close(stop)
-			wg.Wait()
-			w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-			if err := a.Flush(w); err != nil {
-				t.Fatalf("flush: %v", err)
-			}
-			if st.ReshardStats().Splits == 0 {
-				t.Error("async stress ran without a single split")
-			}
-			if bs := st.AggregateBiasStats(); bs.Adoptions == 0 || bs.Revocations == 0 {
-				t.Errorf("bias never cycled under the pipeline: %+v", bs)
-			}
-		})
-	}
-}
-
-// TestBiasAsyncAdoptionAndSplitRevocation drives a single-owner hot
-// shard through the pipeline — the scenario bias exists for — and pins
-// the full lifecycle: the noteTake streak stages the adoption hint,
-// the owner's takes go fast-path, and a forced split of the biased
-// shard revokes the bias (via split's explicit Revoke: the splitter
-// here IS the owner, the case the rendezvous acquire alone would
-// miss) before the children serve. Values stay model-exact throughout.
+// TestBiasAsyncAdoptionAndSplitRevocation drives a single-owner hot shard
+// — the scenario bias exists for — through a contention-wrapped store
+// and pins the full lifecycle: the windowed take counter adopts the
+// owner, the owner's takes go fast-path, and a forced split of the
+// biased shard revokes the bias (via split's explicit Revoke: the
+// splitter here IS the owner, the case the rendezvous acquire alone
+// would miss) before the children serve. Values stay model-exact
+// throughout. (The name predates the removal of the combining front
+// end this test once drove; it now drives Store directly.)
 func TestBiasAsyncAdoptionAndSplitRevocation(t *testing.T) {
 	ops := 3_000
 	if testing.Short() {
@@ -150,20 +99,19 @@ func TestBiasAsyncAdoptionAndSplitRevocation(t *testing.T) {
 		Reshard: modelReshard(),
 		Bias:    true, // default BiasedConfig: the production tuning
 	})
-	a := shardedkv.NewAsync(st, shardedkv.AsyncConfig{})
 	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
 	model := make(map[uint64][]byte)
 
 	put := func(k uint64, ver uint64) {
 		v := kvmodel.VerValue(k, ver)
-		if _, err := a.Put(w, k, v); err != nil {
+		if _, err := st.Put(w, k, v); err != nil {
 			t.Fatalf("put(%d): %v", k, err)
 		}
 		model[k] = v
 	}
 	check := func(k uint64) {
 		t.Helper()
-		v, ok := a.Get(w, k)
+		v, ok := st.Get(w, k)
 		if mv := model[k]; ok != (mv != nil) || !bytes.Equal(v, mv) {
 			t.Fatalf("Get(%d) = %x,%v; model %x", k, v, ok, mv)
 		}
@@ -191,7 +139,7 @@ func TestBiasAsyncAdoptionAndSplitRevocation(t *testing.T) {
 	}
 
 	// The children serve the same data, and the owner re-earns its bias
-	// on the hot child through fresh streaks.
+	// on the hot child through fresh adoption windows.
 	for k := uint64(0); k < 64; k++ {
 		check(k)
 	}
@@ -206,8 +154,8 @@ func TestBiasAsyncAdoptionAndSplitRevocation(t *testing.T) {
 	}
 }
 
-// TestBiasSyncWindowedAdoption pins the standalone windowed-counter
-// adoption path (no pipeline, no Contended wrapper): a store built
+// TestBiasSyncWindowedAdoption pins the windowed-counter adoption path
+// without the Contended wrapper: a store built
 // with Bias alone adopts a solo writer after one default window, the
 // writer's later ops ride the fast path, and one op from a foreign
 // worker revokes the bias through the grace-period handshake.

@@ -3,14 +3,13 @@ package shardedkv
 import "repro/internal/core"
 
 // This file provides the op-level class override surface: views of
-// Store and AsyncStore whose every operation runs under a fixed
-// core.Class regardless of the worker's base class. The mechanism is
-// the per-operation ClassHint on core.Worker — the view installs the
-// hint, runs the operation, and restores the worker's previous hint
-// state — so the override reaches every class consumer on the path:
-// the shard lock's acquire policy (ASL big/little admission), combiner
-// election cadence and spin-vs-park waiting in the pipeline, epoch
-// feedback, and the CSPad keying.
+// Store whose every operation runs under a fixed core.Class regardless
+// of the worker's base class. The mechanism is the per-operation
+// ClassHint on core.Worker — the view installs the hint, runs the
+// operation, and restores the worker's previous hint state — so the
+// override reaches every class consumer on the path: the shard lock's
+// acquire policy (ASL big/little admission), epoch feedback, the WAL
+// sync policy, and the CSPad keying.
 //
 // This is the serving-boundary contract of the network front end
 // (internal/kvserver): one connection-handler goroutine owns one
@@ -132,112 +131,3 @@ func (v ClassedStore) Close(w *core.Worker) {
 
 // Stats snapshots the underlying store's per-shard counters.
 func (v ClassedStore) Stats() []ShardStats { return v.s.Stats() }
-
-// ClassedAsync is an AsyncStore view whose submissions run as a fixed
-// class: the class governs election cadence, spin-vs-park waiting and
-// the drain bound if this worker combines — exactly what distinguishes
-// an interactive request (elect/combine/spin) from a bulk one
-// (enqueue/park) at the serving boundary.
-type ClassedAsync struct {
-	a *AsyncStore
-	c core.Class
-}
-
-// As returns a view of the async store whose operations run with the
-// worker's class overridden to c.
-func (a *AsyncStore) As(c core.Class) ClassedAsync { return ClassedAsync{a: a, c: c} }
-
-// Async returns the underlying AsyncStore.
-func (v ClassedAsync) Async() *AsyncStore { return v.a }
-
-// Class returns the view's class.
-func (v ClassedAsync) Class() core.Class { return v.c }
-
-// Get reads k through the pipeline as the view's class.
-func (v ClassedAsync) Get(w *core.Worker, k uint64) ([]byte, bool) {
-	sc := enterClass(w, v.c)
-	val, ok := v.a.Get(w, k)
-	sc.restore()
-	return val, ok
-}
-
-// Put stores k=v through the pipeline as the view's class.
-func (v ClassedAsync) Put(w *core.Worker, k uint64, val []byte) (bool, error) {
-	sc := enterClass(w, v.c)
-	ok, err := v.a.Put(w, k, val)
-	sc.restore()
-	return ok, err
-}
-
-// Delete removes k through the pipeline as the view's class.
-func (v ClassedAsync) Delete(w *core.Worker, k uint64) (bool, error) {
-	sc := enterClass(w, v.c)
-	ok, err := v.a.Delete(w, k)
-	sc.restore()
-	return ok, err
-}
-
-// PutAsync submits a fire-and-forget put as the view's class.
-func (v ClassedAsync) PutAsync(w *core.Worker, k uint64, val []byte) {
-	sc := enterClass(w, v.c)
-	v.a.PutAsync(w, k, val)
-	sc.restore()
-}
-
-// DeleteAsync submits a fire-and-forget delete as the view's class.
-func (v ClassedAsync) DeleteAsync(w *core.Worker, k uint64) {
-	sc := enterClass(w, v.c)
-	v.a.DeleteAsync(w, k)
-	sc.restore()
-}
-
-// MultiGet reads all keys through the pipeline as the view's class.
-func (v ClassedAsync) MultiGet(w *core.Worker, keys []uint64) ([][]byte, []bool) {
-	sc := enterClass(w, v.c)
-	vals, ok := v.a.MultiGet(w, keys)
-	sc.restore()
-	return vals, ok
-}
-
-// MultiPut writes all pairs through the pipeline as the view's class.
-func (v ClassedAsync) MultiPut(w *core.Worker, kvs []Pair) (int, error) {
-	sc := enterClass(w, v.c)
-	n, err := v.a.MultiPut(w, kvs)
-	sc.restore()
-	return n, err
-}
-
-// Range scans [lo, hi] through the pipeline as the view's class.
-func (v ClassedAsync) Range(w *core.Worker, lo, hi uint64, fn func(k uint64, v []byte) bool) {
-	sc := enterClass(w, v.c)
-	v.a.Range(w, lo, hi, fn)
-	sc.restore()
-}
-
-// MultiRange executes all range requests through the pipeline as the
-// view's class.
-func (v ClassedAsync) MultiRange(w *core.Worker, reqs []RangeReq) [][]Pair {
-	sc := enterClass(w, v.c)
-	out := v.a.MultiRange(w, reqs)
-	sc.restore()
-	return out
-}
-
-// Flush drives the write barrier as the view's class (the class
-// governs the combining the flush itself performs).
-func (v ClassedAsync) Flush(w *core.Worker) error {
-	sc := enterClass(w, v.c)
-	err := v.a.Flush(w)
-	sc.restore()
-	return err
-}
-
-// Close shuts the shared pipeline down (see AsyncStore.Close).
-func (v ClassedAsync) Close(w *core.Worker) {
-	sc := enterClass(w, v.c)
-	v.a.Close(w)
-	sc.restore()
-}
-
-// Stats snapshots the underlying store's per-shard counters.
-func (v ClassedAsync) Stats() []ShardStats { return v.a.st.Stats() }

@@ -75,44 +75,3 @@ func TestClassedViewRestoresOuterHint(t *testing.T) {
 	}
 	w.ClearClassHint()
 }
-
-// TestClassedAsyncOverride drives the pipeline through classed views
-// on both classes and checks results plus hint restoration. The lock
-// class of the executing combiner is not asserted here (a concurrent
-// combiner of either class may execute any op — that is the point of
-// combining); what must hold is correctness and hint hygiene.
-func TestClassedAsyncOverride(t *testing.T) {
-	st := New(Config{Shards: 2})
-	a := NewAsync(st, AsyncConfig{})
-	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-
-	bulk := a.As(core.Little)
-	inter := a.As(core.Big)
-	for k := uint64(0); k < 64; k++ {
-		if k%2 == 0 {
-			bulk.Put(w, k, []byte{byte(k)})
-		} else {
-			inter.Put(w, k, []byte{byte(k)})
-		}
-	}
-	bulk.PutAsync(w, 100, []byte("ff"))
-	bulk.Flush(w)
-	for k := uint64(0); k < 64; k++ {
-		v, ok := inter.Get(w, k)
-		if !ok || len(v) != 1 || v[0] != byte(k) {
-			t.Fatalf("key %d: got %v ok=%v", k, v, ok)
-		}
-	}
-	if v, ok := bulk.Get(w, 100); !ok || string(v) != "ff" {
-		t.Fatalf("fire-and-forget write lost: %q ok=%v", v, ok)
-	}
-	n := 0
-	bulk.Range(w, 0, 200, func(uint64, []byte) bool { n++; return true })
-	if n != 65 {
-		t.Fatalf("range saw %d keys, want 65", n)
-	}
-	if w.ClassHinted() {
-		t.Fatal("hint leaked out of async view ops")
-	}
-	a.Close(w)
-}

@@ -16,8 +16,8 @@ import (
 //     write that was already applied but whose group commit failed
 //     returns the error too — the caller got no durability ack, so
 //     the write is indeterminate, never falsely acked.
-//   - Fire-and-forget (async) writes surface at the next Flush, which
-//     syncs every log and reports the first failure.
+//   - Async-acked (bulk-policy) writes surface at the next Flush,
+//     which syncs every log and reports the first failure.
 //   - The flip is one-way: recovery is a restart, which replays the
 //     durable prefix (wal.Replay truncates at the torn tail).
 //

@@ -3,6 +3,8 @@ package shardedkv
 import (
 	"bytes"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/core"
@@ -100,43 +102,60 @@ func TestDegradedShardFailsWritesServesReads(t *testing.T) {
 	st2.Close(w)
 }
 
-// TestDegradedPipelineSyncWaiters runs the failure through the
-// combining pipeline: sync-wait futures whose group commit fails must
-// complete with the typed degraded error — not hang, not report
-// success — and later writes to the shard fail fast.
+// TestDegradedPipelineSyncWaiters fails a group commit under
+// concurrent sync-wait writers: every writer whose commit rode the
+// failed fsync must return the typed degraded error — not hang, not
+// report success — later writes to the shard fail fast, and reads of
+// every acked key and Flush keep answering. (The name predates the
+// removal of the combining front end; the waiters are Store writers
+// queued on the WAL commit pipeline.)
 func TestDegradedPipelineSyncWaiters(t *testing.T) {
+	const workers = 4
 	dir := t.TempDir()
 	reg := fault.New(1)
 	reg.MustAdd(fault.Rule{Point: "wal.fsync", Nth: 2, Act: fault.ActError})
 	st := New(degCfg(dir, reg))
-	a := NewAsync(st, AsyncConfig{MaxBatch: 8, RingSize: 32})
-	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
 
-	failures := 0
-	for k := uint64(0); k < 300; k++ {
-		_, err := a.Put(w, k, verValue(k, 1))
-		if err != nil {
-			if !IsDegraded(err) {
-				t.Fatalf("pipeline Put(%d): want degraded error, got %v", k, err)
+	var failures atomic.Int64
+	acked := make([][]uint64, workers)
+	var wg sync.WaitGroup
+	for wi := 0; wi < workers; wi++ {
+		wg.Add(1)
+		go func(wi int) {
+			defer wg.Done()
+			w := core.NewWorker(core.WorkerConfig{Class: core.Big})
+			for k := uint64(wi); k < 300; k += workers {
+				if _, err := st.Put(w, k, verValue(k, 1)); err != nil {
+					if !IsDegraded(err) {
+						t.Errorf("Put(%d): want degraded error, got %v", k, err)
+					}
+					failures.Add(1)
+					continue
+				}
+				acked[wi] = append(acked[wi], k)
 			}
-			failures++
+		}(wi)
+	}
+	wg.Wait()
+	if failures.Load() == 0 {
+		t.Fatal("no write failed; the injected fault never reached a waiter")
+	}
+	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
+	for _, ks := range acked {
+		for _, k := range ks {
+			if v, ok := st.Get(w, k); !ok || !bytes.Equal(v, verValue(k, 1)) {
+				t.Errorf("degraded-mode Get(%d) = %x,%v; want the acked value", k, v, ok)
+			}
 		}
 	}
-	if failures == 0 {
-		t.Fatal("no pipeline write failed; the injected fault never reached a waiter")
+	if err := st.Flush(w); !IsDegraded(err) {
+		t.Errorf("Flush = %v; want degraded", err)
 	}
-	// The pipeline itself must not wedge: reads and a final drain still work.
-	if _, ok := a.Get(w, 0); !ok {
-		t.Error("pipeline Get(0) lost a written key after degrade")
-	}
-	if err := a.Flush(w); !IsDegraded(err) {
-		t.Errorf("pipeline Flush = %v; want degraded", err)
-	}
-	a.Close(w)
+	st.Close(w)
 }
 
-// TestDegradedBulkSurfacesAtFlush: fire-and-forget (bulk-policy)
-// writes cannot return their commit error inline; the contract is that
+// TestDegradedBulkSurfacesAtFlush: async-acked (bulk-policy) writes
+// cannot return their commit error inline; the contract is that
 // the failure surfaces at the next Flush.
 func TestDegradedBulkSurfacesAtFlush(t *testing.T) {
 	dir := t.TempDir()

@@ -15,14 +15,11 @@ import (
 )
 
 // This file wires the per-shard write-ahead log (internal/wal) into
-// the store. The shape follows the combining pipeline's asymmetry
-// argument one layer down: the combiner already batches up to
-// MaxBatchEff ops under one lock take, so durability rides the same
-// batch — records are appended (buffered, no fsync) while the shard
-// lock is held and ONE group-commit fsync runs after release, with
-// every waiter of the batch piggybacking on it. The plain Store gets
-// the same economics from wal.Commit's leader election: concurrent
-// writers' commits collapse into one in-flight sync.
+// the store. Records are appended (buffered, no fsync) while the shard
+// lock is held, and the group commit runs after release: wal.Commit's
+// leader election collapses concurrent writers' commits into one
+// in-flight sync, so every waiter that appended before the leader's
+// fsync piggybacks on it.
 //
 // Sync policy is per SLO class, riding the PR 5 class plumbing:
 // interactive (big-class) writes wait for the group commit, bulk
@@ -441,7 +438,7 @@ func (s *Store) Checkpoint(w *core.Worker) error {
 // commits every record appended so far on every shard log (live and
 // split-retired). Async-acked (bulk) writes are durable once it
 // returns nil. A sync failure degrades the owning shard and is
-// reported here — this is where fire-and-forget write errors surface.
+// reported here — this is where async-acked write errors surface.
 // Without Config.Durability it is a no-op.
 func (s *Store) Flush(w *core.Worker) error {
 	return s.syncLogs()

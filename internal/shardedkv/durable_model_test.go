@@ -70,7 +70,7 @@ func TestDurableRecoveryVsModel(t *testing.T) {
 						time.Sleep(300 * time.Microsecond)
 					}
 				}()
-				final := kvmodel.Drive(t, st, nil, workers, opsPer)
+				final := kvmodel.Drive(t, st, workers, opsPer)
 				close(stop)
 				wg.Wait()
 				if st.ReshardStats().Splits == 0 {
@@ -92,13 +92,15 @@ func TestDurableRecoveryVsModel(t *testing.T) {
 	}
 }
 
-// TestDurableAsyncPipelineRecovery runs the same model equivalence
-// through the combining AsyncStore — fire-and-forget writes included —
-// with splits firing mid-stress, then kills the store after a Flush
-// (the pipeline write barrier, which also group-commits every log) and
-// verifies the replayed store against the model. This is the
-// batch-append-one-fsync path of the tentpole under crash. Run with
-// -race.
+// TestDurableAsyncPipelineRecovery runs the same model equivalence under
+// the default class policies — interactive writes wait for group
+// commit, bulk writes ack after the buffered append — with splits
+// firing mid-stress, then kills the store after a Flush (the
+// durability barrier, which group-commits every log) and verifies the
+// replayed store against the model: no async-acked bulk write may be
+// lost once Flush returned. Run with -race. (The name predates the
+// removal of the combining front end; "async" is the bulk class's
+// ack-before-fsync policy.)
 func TestDurableAsyncPipelineRecovery(t *testing.T) {
 	const workers = 4
 	opsPer := 1_000
@@ -109,13 +111,9 @@ func TestDurableAsyncPipelineRecovery(t *testing.T) {
 		t.Run(spec.Name, func(t *testing.T) {
 			dir := t.TempDir()
 			cfg := modelDurCfg(dir, spec.New)
-			// Default class policies: bulk writes ack async and rely on
-			// the final Flush for durability — the crash must not lose
-			// them once Flush returned.
 			cfg.Durability.Interactive = shardedkv.SyncDefault
 			cfg.Durability.Bulk = shardedkv.SyncDefault
 			st := shardedkv.New(cfg)
-			a := shardedkv.NewAsync(st, shardedkv.AsyncConfig{MaxBatch: 8, RingSize: 32})
 			stop := make(chan struct{})
 			var wg sync.WaitGroup
 			wg.Add(1)
@@ -132,16 +130,16 @@ func TestDurableAsyncPipelineRecovery(t *testing.T) {
 					time.Sleep(400 * time.Microsecond)
 				}
 			}()
-			final := kvmodel.Drive(t, a, a.PutAsync, workers, opsPer)
+			final := kvmodel.Drive(t, st, workers, opsPer)
 			close(stop)
 			wg.Wait()
 			w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-			if err := a.Flush(w); err != nil {
+			if err := st.Flush(w); err != nil {
 				t.Fatalf("flush: %v", err)
 			}
 			ws := st.WalStats()
 			if ws.Appended == 0 || ws.Syncs == 0 {
-				t.Fatalf("pipeline ran without logging: %+v", ws)
+				t.Fatalf("store ran without logging: %+v", ws)
 			}
 			t.Logf("wal: %d records / %d fsyncs = %.2f ops/fsync",
 				ws.Appended, ws.Syncs, ws.OpsPerFsync())

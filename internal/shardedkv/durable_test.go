@@ -2,6 +2,7 @@ package shardedkv
 
 import (
 	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"sort"
@@ -10,14 +11,22 @@ import (
 	"repro/internal/core"
 )
 
-// Crash-point recovery suite: every test drives a durable store (or
-// its pipeline front end), kills it at a chosen point — clean Close,
-// kill -9 via CrashDrop, mid-checkpoint debris, mid-recovery debris,
-// torn or corrupt segment tails — reopens the same directory, and
-// demands the replayed store answer exactly like the sequential model
+// Crash-point recovery suite: every test drives a durable store, kills
+// it at a chosen point — clean Close, kill -9 via CrashDrop,
+// mid-checkpoint debris, mid-recovery debris, torn or corrupt segment
+// tails — reopens the same directory, and demands the replayed store answer exactly like the sequential model
 // that watched the workload. CrashDrop mirrors a process kill: the
 // user-space append buffers vanish, nothing gets a parting fsync, so
 // only what the group commits already pushed down survives.
+
+// verValue encodes (key, version) so a read can be matched to the
+// exact write that produced it.
+func verValue(k, ver uint64) []byte {
+	var b [16]byte
+	binary.LittleEndian.PutUint64(b[:8], k)
+	binary.LittleEndian.PutUint64(b[8:], ver)
+	return b[:]
+}
 
 // seqPut writes keys [0, n) at version ver and records, per shard, the
 // last key routed to it (the key whose record sits at that shard's

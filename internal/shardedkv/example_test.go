@@ -51,29 +51,3 @@ func ExampleStore_classOverride() {
 	// interactive read = bulk write
 	// base class unchanged = big
 }
-
-// ExampleAsyncStore shows the combining pipeline: waited ops,
-// fire-and-forget writes with Flush as the barrier, and combining
-// stats proving batched execution.
-func ExampleAsyncStore() {
-	st := shardedkv.New(shardedkv.Config{Shards: 2})
-	async := shardedkv.NewAsync(st, shardedkv.AsyncConfig{})
-	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-
-	async.Put(w, 1, []byte("waited"))
-	async.PutAsync(w, 2, []byte("fire-and-forget"))
-	async.Flush(w) // write barrier: the PutAsync is applied after this
-
-	if v, ok := async.Get(w, 2); ok {
-		fmt.Printf("get 2 = %s\n", v)
-	}
-	total := uint64(0)
-	for _, c := range async.CombineStats() {
-		total += c.Combined
-	}
-	fmt.Printf("ops through the combiner = %d\n", total)
-	async.Close(w)
-	// Output:
-	// get 2 = fire-and-forget
-	// ops through the combiner = 3
-}

@@ -2,13 +2,11 @@ package shardedkv
 
 import "repro/internal/core"
 
-// KV is the one store surface every front end implements: the plain
-// synchronous Store, the combining AsyncStore, and the fixed-class
-// views either returns from As. Consumers that do not care which
-// concurrency front end (or SLO class binding) they are handed — the
-// network server's request loop, the benchmark driver, the model
-// checker's harness — program against this and let the caller pick
-// the implementation.
+// KV is the store surface the Store and its fixed-class views (from
+// As) both implement. Consumers that do not care which SLO class
+// binding they are handed — the network server's request loop, the
+// benchmark driver, the model checker's harness — program against this
+// and let the caller pick the implementation.
 //
 // Contracts shared by all implementations:
 //
@@ -23,15 +21,13 @@ import "repro/internal/core"
 //     the owning shard's log has failed (degraded.go). A non-nil
 //     error is never a durability ack, whatever the other results
 //     say; reads keep serving on a degraded shard.
-//   - Flush is the write/durability barrier: every operation submitted
-//     before it is applied, and with durability configured, fsynced.
-//     Fire-and-forget write failures surface here.
-//   - Close makes the handle (and for AsyncStore-backed handles, the
-//     pipeline) unusable; it does NOT imply the underlying engines are
-//     gone — split views share one Store, and closing one view closes
-//     the shared front end exactly once.
+//   - Flush is the durability barrier: every write that returned
+//     before it is fsynced when durability is configured. Failures of
+//     async-acked (bulk-policy) writes surface here.
+//   - Close makes the handle unusable; views share one Store, so
+//     closing any view closes that Store.
 //   - Stats snapshots the underlying Store's per-shard counters; views
-//     and the async front end report the same store-level numbers.
+//     report the same store-level numbers.
 type KV interface {
 	Get(w *core.Worker, k uint64) ([]byte, bool)
 	Put(w *core.Worker, k uint64, v []byte) (bool, error)
@@ -45,12 +41,10 @@ type KV interface {
 	Stats() []ShardStats
 }
 
-// The four front ends below are the complete implementation set; the
-// asserts keep interface drift a compile error rather than a runtime
-// surprise in whichever consumer noticed last.
+// The two implementations below are the complete set; the asserts
+// keep interface drift a compile error rather than a runtime surprise
+// in whichever consumer noticed last.
 var (
 	_ KV = (*Store)(nil)
-	_ KV = (*AsyncStore)(nil)
 	_ KV = ClassedStore{}
-	_ KV = ClassedAsync{}
 )

@@ -37,16 +37,6 @@ type ReshardConfig struct {
 	// shard is merely popular, and splitting it buys nothing.
 	// Default 0.02.
 	MinContention float64
-	// MinQueueDepth is the pipeline's saturation signal: a shard also
-	// qualifies when its combining ring's recent depth estimate
-	// reaches this bound, meaning requests queue faster than the
-	// combiner drains. Combiner-election probes deliberately bypass
-	// the lock-wait counter (they fail by design whenever combining is
-	// healthy), so a pipelined hot shard splits only when its queue
-	// outruns the drain bound — fission buys nothing while one
-	// combiner absorbs the convoy. Default 32 (the initial adaptive
-	// drain bound).
-	MinQueueDepth uint64
 	// MaxShards bounds the live shard count (splits stop there).
 	// Default 8x the initial count.
 	MaxShards int
@@ -72,9 +62,6 @@ func (c ReshardConfig) withDefaults(initialShards int) ReshardConfig {
 	}
 	if c.MinContention == 0 {
 		c.MinContention = 0.02
-	}
-	if c.MinQueueDepth == 0 {
-		c.MinQueueDepth = adaptiveInitBatch
 	}
 	if c.MaxShards <= 0 {
 		c.MaxShards = 8 * initialShards
@@ -213,18 +200,7 @@ func (s *Store) reshardLoop(d *reshardDetector) {
 			if attD > 0 {
 				contFrac = float64(conD) / float64(attD)
 			}
-			queued := false
-			if q := sh.pipe.Load(); q != nil {
-				hw := q.hwRecent.Load()
-				queued = hw >= d.cfg.MinQueueDepth
-				// Age the estimate here too: drains decay it, but a ring
-				// gone fully idle (traffic moved to the sync path) never
-				// drains again, and a frozen burst-era high-water must
-				// not read as permanent saturation. Real pressure
-				// re-raises it at every enqueue.
-				q.hwRecent.Store(hw * 3 / 4)
-			}
-			if contFrac >= d.cfg.MinContention || queued {
+			if contFrac >= d.cfg.MinContention {
 				cands = append(cands, candidate{sh: sh, share: float64(opsD)})
 			} else {
 				win.sustained = 0

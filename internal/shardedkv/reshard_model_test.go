@@ -50,60 +50,11 @@ func TestSplitUnderLoadLinearizable(t *testing.T) {
 			// The shared KV-model harness does the striped
 			// drive-and-check; this test contributes the concurrent
 			// splitter.
-			kvmodel.Drive(t, st, nil, workers, opsPer)
+			kvmodel.Drive(t, st, workers, opsPer)
 			close(stop)
 			wg.Wait()
 			if st.ReshardStats().Splits == 0 {
 				t.Error("stress ran without a single split; the test lost its point")
-			}
-		})
-	}
-}
-
-// TestAsyncSplitLinearizableVsModel runs the same model equivalence
-// through the combining pipeline while splits fire mid-stress: ring
-// drains, forwarding, and direct fallbacks must all land each op on
-// the engine that owns its key at execution time. Run with -race.
-func TestAsyncSplitLinearizableVsModel(t *testing.T) {
-	const workers = 6
-	opsPer := 3_000
-	if testing.Short() {
-		opsPer = 600
-	}
-	for _, spec := range shardedkv.AllEngines() {
-		t.Run(spec.Name, func(t *testing.T) {
-			st := shardedkv.New(shardedkv.Config{Shards: 4, NewEngine: spec.New, Reshard: modelReshard()})
-			// Small ring + small fixed batch: wraps, elections, and
-			// ring-full direct paths all cross the splits.
-			a := shardedkv.NewAsync(st, shardedkv.AsyncConfig{MaxBatch: 8, RingSize: 32})
-			var wg sync.WaitGroup
-			stop := make(chan struct{})
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-				for i := uint64(0); ; i++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					st.ForceSplit(w, i%64)
-					time.Sleep(300 * time.Microsecond)
-				}
-			}()
-			// Same shared harness as the sync test, but through the
-			// pipeline, with PutAsync as the fire-and-forget hook so the
-			// read-your-write FIFO contract is pinned mid-split.
-			kvmodel.Drive(t, a, a.PutAsync, workers, opsPer)
-			close(stop)
-			wg.Wait()
-			w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-			if err := a.Flush(w); err != nil {
-				t.Fatalf("flush: %v", err)
-			}
-			if st.ReshardStats().Splits == 0 {
-				t.Error("async stress ran without a single split")
 			}
 		})
 	}

@@ -1,14 +1,12 @@
 package shardedkv
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/prng"
 	"repro/internal/workload"
 )
 
@@ -179,200 +177,6 @@ func TestTrackContentionStats(t *testing.T) {
 	st2.Put(w, 1, stressValue(1))
 	if s := st2.AggregateStats(); s.LockAttempts != 0 {
 		t.Fatalf("untracked store reports %d lock attempts", s.LockAttempts)
-	}
-}
-
-// TestAsyncSplitNoLostOps is the ring-migration drain check: workers
-// hammer shared keys through the pipeline (including fire-and-forget
-// writes) with exact insert/delete accounting while splits force rings
-// to migrate; after a Flush, the store's Len must reconcile exactly and
-// every combining counter must account for every op. Run with -race.
-func TestAsyncSplitNoLostOps(t *testing.T) {
-	const workers = 6
-	opsPer := 3_000
-	if testing.Short() {
-		opsPer = 600
-	}
-	st := New(Config{Shards: 2, Reshard: manualReshard()})
-	a := NewAsync(st, AsyncConfig{RingSize: 64}) // adaptive batching on
-	var inserts, deletes, ffPuts atomic.Int64
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-		for i := uint64(0); ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			st.ForceSplit(w, i)
-			time.Sleep(250 * time.Microsecond)
-		}
-	}()
-	const keyspace = 512
-	var work sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		work.Add(1)
-		go func(wi int) {
-			defer work.Done()
-			class := core.Big
-			if wi%2 == 1 {
-				class = core.Little
-			}
-			w := core.NewWorker(core.WorkerConfig{Class: class})
-			rng := prng.NewSplitMix64(uint64(wi)*77 + 13)
-			for op := 0; op < opsPer; op++ {
-				k := rng.Uint64() % keyspace
-				switch rng.Uint64() % 6 {
-				case 0, 1:
-					if ins, _ := a.Put(w, k, stressValue(k)); ins {
-						inserts.Add(1)
-					}
-				case 2:
-					if v, ok := a.Get(w, k); ok {
-						checkStressValue(t, k, v)
-					}
-				case 3:
-					if del, _ := a.Delete(w, k); del {
-						deletes.Add(1)
-					}
-				case 4:
-					// Fire-and-forget: insert accounting is reconciled
-					// via a disjoint high-key stripe (one key per
-					// worker/op pair, never deleted).
-					hk := keyspace + uint64(wi)*uint64(opsPer) + uint64(op)
-					a.PutAsync(w, hk, stressValue(hk))
-					ffPuts.Add(1)
-				default:
-					lo := k
-					prev, first := uint64(0), true
-					a.Range(w, lo, lo+64, func(sk uint64, sv []byte) bool {
-						if !first && sk <= prev {
-							t.Errorf("Range emitted %d after %d", sk, prev)
-						}
-						prev, first = sk, false
-						checkStressValue(t, sk, sv)
-						return true
-					})
-				}
-			}
-		}(wi)
-	}
-	work.Wait()
-	close(stop)
-	wg.Wait()
-	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-	a.Flush(w)
-	wantLen := int(inserts.Load()-deletes.Load()) + int(ffPuts.Load())
-	if got := st.Len(w); got != wantLen {
-		t.Fatalf("final Len %d != inserts %d - deletes %d + ff %d",
-			got, inserts.Load(), deletes.Load(), ffPuts.Load())
-	}
-	if st.ReshardStats().Splits == 0 {
-		t.Error("no splits fired; the test lost its point")
-	}
-	agg := a.AggregateCombineStats()
-	if agg.Combined == 0 || agg.LockTakes == 0 {
-		t.Fatalf("no combining recorded: %+v", agg)
-	}
-}
-
-// TestPutAsyncFireAndForget pins the fire-and-forget contract: the
-// call returns without waiting, Flush is the write barrier, the ops
-// are fully accounted in the combining stats, and DeleteAsync composes.
-func TestPutAsyncFireAndForget(t *testing.T) {
-	st := New(Config{Shards: 4})
-	a := NewAsync(st, AsyncConfig{})
-	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-	const n = 512
-	for k := uint64(0); k < n; k++ {
-		a.PutAsync(w, k, stressValue(k))
-	}
-	a.Flush(w)
-	if got := st.Len(w); got != n {
-		t.Fatalf("Len after Flush = %d, want %d", got, n)
-	}
-	for k := uint64(0); k < n; k++ {
-		v, ok := a.Get(w, k)
-		if !ok {
-			t.Fatalf("key %d missing after PutAsync+Flush", k)
-		}
-		checkStressValue(t, k, v)
-	}
-	for k := uint64(0); k < n; k += 2 {
-		a.DeleteAsync(w, k)
-	}
-	a.Flush(w)
-	if got := st.Len(w); got != n/2 {
-		t.Fatalf("Len after DeleteAsync+Flush = %d, want %d", got, n/2)
-	}
-	agg := a.AggregateCombineStats()
-	wantOps := uint64(n + n/2 + n) // ff puts + ff deletes + waited gets
-	if agg.Combined != wantOps {
-		t.Fatalf("Combined = %d, want %d (every async op accounted once)", agg.Combined, wantOps)
-	}
-}
-
-// TestAdaptiveMaxBatch drives one hot shard with an adaptive pipeline
-// and checks the bound machinery: the effective bound is exposed, and
-// under real parallelism with deep queues it grows past the old fixed
-// default on the hot shard while drains keep every op accounted.
-func TestAdaptiveMaxBatch(t *testing.T) {
-	const workers = 8
-	opsPer := 2_000
-	if testing.Short() {
-		opsPer = 500
-	}
-	st := New(Config{
-		Shards: 1,
-		CSPad:  func(w *core.Worker) { workload.Spin(2_000) },
-	})
-	a := NewAsync(st, AsyncConfig{RingSize: 256})
-	var wg sync.WaitGroup
-	for wi := 0; wi < workers; wi++ {
-		wg.Add(1)
-		go func(wi int) {
-			defer wg.Done()
-			// All big: the little cap must not hide the growth.
-			w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-			rng := prng.NewSplitMix64(uint64(wi)*3 + 1)
-			for op := 0; op < opsPer; op++ {
-				k := rng.Uint64() % 1024
-				if rng.Uint64()&1 == 0 {
-					a.Put(w, k, stressValue(k))
-				} else {
-					a.Get(w, k)
-				}
-			}
-		}(wi)
-	}
-	wg.Wait()
-	agg := a.AggregateCombineStats()
-	if want := uint64(workers * opsPer); agg.Combined != want {
-		t.Fatalf("Combined = %d, want exactly %d", agg.Combined, want)
-	}
-	if agg.MaxBatchEff == 0 {
-		t.Fatal("MaxBatchEff not exposed")
-	}
-	t.Logf("adaptive: %d ops / %d takes = %.2f ops/take, depthHW %d, effective bound %d",
-		agg.Combined, agg.LockTakes, agg.OpsPerLockTake(), agg.DepthHW, agg.MaxBatchEff)
-	// Growth needs queues deeper than the initial bound, which needs
-	// real parallelism; only assert where the scheduler can provide it.
-	if runtime.GOMAXPROCS(0) >= 4 && agg.DepthHW >= 2*adaptiveInitBatch {
-		if agg.MaxBatchEff <= adaptiveInitBatch {
-			t.Errorf("bound stayed at %d despite depthHW %d", agg.MaxBatchEff, agg.DepthHW)
-		}
-	}
-	// A fixed-batch store must report the fixed bound.
-	st2 := New(Config{Shards: 1})
-	a2 := NewAsync(st2, AsyncConfig{MaxBatch: 16})
-	w := core.NewWorker(core.WorkerConfig{Class: core.Big})
-	a2.Put(w, 1, stressValue(1))
-	if eff := a2.AggregateCombineStats().MaxBatchEff; eff != 16 {
-		t.Fatalf("fixed MaxBatchEff = %d, want 16", eff)
 	}
 }
 

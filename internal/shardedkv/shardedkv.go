@@ -112,8 +112,8 @@ type Config struct {
 	// CSPad, if non-nil, runs once per engine operation while the
 	// shard lock is held. Benchmarks on symmetric hosts use it with
 	// workload.AsymmetryShim to emulate the paper's AMP regime, where
-	// a little-core holder keeps the lock proportionally longer (see
-	// DESIGN.md substitutions). Leave nil in production use.
+	// a little-core holder keeps the lock proportionally longer. Leave
+	// nil in production use.
 	CSPad func(w *core.Worker)
 	// Reshard, if non-nil, enables dynamic resharding: shard locks are
 	// wrapped with contention counters and a skew detector splits
@@ -125,7 +125,7 @@ type Config struct {
 	// enabling resharding. Implied by Reshard.
 	TrackContention bool
 	// Bias wraps every shard lock with locks.Biased under the Contended
-	// counter: a shard whose combining pipeline observes one worker
+	// counter: a shard whose windowed take counter sees one worker
 	// taking essentially every lock acquisition adopts that worker as
 	// the bias owner (plain-atomic fast path, no contended RMW per op),
 	// and any other worker's blocking acquire revokes the bias through
@@ -177,8 +177,8 @@ type shard struct {
 	cont *locks.Contended
 	// biased is the lock's bias wrapper when Config.Bias is set; nil
 	// otherwise. It sits under cont in the stack (Contended over Biased
-	// over the base lock), so election probes reach it via cont.Inner()
-	// and real foreign waits against a live bias feed the skew detector.
+	// over the base lock), so real foreign waits against a live bias
+	// feed the skew detector.
 	biased *locks.Biased
 	// id is the shard's creation ordinal: stable across map swaps,
 	// ascending in Stats order. group/depth place the shard in the
@@ -189,9 +189,6 @@ type shard struct {
 	// forward, once set (under lock, by split), says this shard's keys
 	// moved to two children; it never reverts to nil.
 	forward atomic.Pointer[splitRecord]
-	// pipe is the shard's combining-pipeline state when an AsyncStore
-	// is attached (pipeline.go); nil otherwise.
-	pipe atomic.Pointer[pipeShard]
 	// wal is the shard's append-only log when Config.Durability is set;
 	// nil otherwise. Appends run under the shard lock (buffered, no
 	// fsync); Commit/Sync run strictly after release (durable.go).
@@ -206,19 +203,6 @@ type shard struct {
 	scans    atomic.Uint64
 	batches  atomic.Uint64
 	_        [64]byte
-}
-
-// electTry is the combiner-election TryAcquire: on a
-// contention-wrapped lock it probes the inner lock directly, because
-// election probes fail BY DESIGN whenever another combiner is serving
-// the ring — counting them would saturate the skew detector's wait
-// signal and make every pipelined shard look convoyed. Real waits
-// (blocking acquires, ring-full fallbacks) stay counted.
-func (sh *shard) electTry(w *core.Worker) bool {
-	if sh.cont != nil {
-		return sh.cont.Inner().TryAcquire(w)
-	}
-	return sh.lock.TryAcquire(w)
 }
 
 // stats snapshots this shard's counters.
@@ -243,9 +227,9 @@ type Store struct {
 	csPad func(w *core.Worker)
 
 	// Split machinery (shardmap.go / reshard.go). newLock/newEngine
-	// build children; splitMu serialises splits, map swaps, and
-	// AsyncStore attachment; retired accumulates counters of shards
-	// that split away so aggregates never lose history.
+	// build children; splitMu serialises splits and map swaps; retired
+	// accumulates counters of shards that split away so aggregates
+	// never lose history.
 	newLock   locks.Factory
 	newEngine func(shard int) Engine
 	contend   bool
@@ -256,7 +240,6 @@ type Store struct {
 	nextID    int
 	splits    atomic.Uint64
 	events    atomic.Uint64
-	async     atomic.Pointer[AsyncStore]
 	retired   retiredStats
 	detector  *reshardDetector
 	// dur is the durability state when Config.Durability is set
@@ -406,7 +389,7 @@ func (s *Store) Get(w *core.Worker, k uint64) ([]byte, bool) {
 // With durability on, the record is appended (buffered) under the
 // shard lock — strictly before the engine apply, so memory is always
 // a replay of the log — and, for a sync-wait class, committed after
-// release: wal.Commit's leader election is the commit pipeline, so
+// release: wal.Commit's leader election batches concurrent commits, so
 // this writer either piggybacks on an in-flight group sync or leads
 // one for every append since the last. A log failure degrades the
 // shard (degraded.go) and returns the typed error; a non-nil error

@@ -39,8 +39,8 @@ import (
 //     on a live shard. Forward pointers only ever go nil → non-nil, so
 //     the chase is bounded by the number of splits taken.
 //   - Splits serialise on the store's split mutex, rendezvous ONLY the
-//     affected shard (its lock is held across drain, key partition, map
-//     swap, and forward installation), and never touch another shard's
+//     affected shard (its lock is held across key partition, forward
+//     installation, and map swap), and never touch another shard's
 //     lock — the rest of the store serves traffic throughout.
 type shardMap struct {
 	// epoch counts map generations: one per split. Snapshot-aware
@@ -143,8 +143,7 @@ func (s *Store) newShard(id, group int, depth uint) (*shard, error) {
 	if s.bias {
 		// Bias sits UNDER the contention counter: a foreign acquire
 		// against a live bias must fail the counter's opening try (the
-		// absorbed probe) so the skew detector sees the traffic, and
-		// electTry's probes must reach the bias fast path directly.
+		// absorbed probe) so the skew detector sees the traffic.
 		b := locks.NewBiased(inner, s.biasCfg)
 		sh.biased = b
 		inner = b
@@ -212,28 +211,12 @@ func (s *Store) forEachLive(w *core.Worker, fn func(sh *shard)) {
 // split replaces sh with two children partitioning its keys by the
 // next hash bit. It serialises with other splits, holds only sh's lock
 // for the whole rendezvous, and returns false when sh already moved or
-// the shard budget is spent. The sequence under sh's lock matters:
-//
-//  1. drain sh's async ring (queued ops must execute against the
-//     engine they were routed to while it is still authoritative),
-//  2. partition the engine's keys into the children via Range,
-//  3. attach pipeline rings to the children (before they are
-//     reachable, so no submitter ever finds a shard without a ring),
-//  4. install the forward pointer,
-//  5. drain the ring AGAIN, now through the forward (requests that
-//     slipped in between steps 1 and 4 execute against the live
-//     children, still in FIFO order, before anything can route to
-//     the children's own rings),
-//  6. swap the map (new arrivals route straight to the children).
-//
-// Forward-before-swap is what preserves each worker's program order
-// across the split: an op whose submit returned before step 6 has
-// either executed (steps 1/5) or sits in a ring the same worker's
-// next op also resolves to. A producer that enqueues on sh's ring
-// after step 5 (it located sh through a stale map snapshot) observes
-// the forward pointer post-publish and drives the retired ring dry
-// before its submit returns (see AsyncStore.submit), so nothing is
-// ever stranded behind the swap.
+// the shard budget is spent. Under sh's lock it partitions the
+// engine's keys into the children, installs the forward pointer, and
+// only then swaps the map. Forward-before-swap is what keeps every
+// caller correct across the split: one that located sh through a stale
+// snapshot acquires sh, sees the forward, and hops to the child that
+// now owns its key (acquireLiveFrom, execGrouped, forEachLive).
 func (s *Store) split(w *core.Worker, sh *shard) bool {
 	s.splitMu.Lock()
 	defer s.splitMu.Unlock()
@@ -265,11 +248,6 @@ func (s *Store) split(w *core.Worker, sh *shard) bool {
 		sh.lock.Release(w)
 		return false
 	}
-	var pend []*request
-	a := s.async.Load()
-	if a != nil {
-		a.drainForSplit(w, sh, &pend)
-	}
 	var kids [2]*shard
 	for i := range kids {
 		// Children get fresh, empty logs: the rehomed keys below stay
@@ -286,7 +264,6 @@ func (s *Store) split(w *core.Worker, sh *shard) bool {
 			if i == 1 && kids[0].wal != nil {
 				_ = kids[0].wal.Close()
 			}
-			s.completePending(pend)
 			return false
 		}
 		kids[i] = kid
@@ -304,30 +281,19 @@ func (s *Store) split(w *core.Worker, sh *shard) bool {
 	} else {
 		sh.eng.Range(0, ^uint64(0), part)
 	}
-	if a != nil {
-		a.attachShard(kids[0], sh.pipe.Load())
-		a.attachShard(kids[1], sh.pipe.Load())
-	}
 	s.splits.Add(1)
 	sh.forward.Store(&splitRecord{bit: sh.depth, kids: kids})
-	if a != nil {
-		a.drainForSplit(w, sh, &pend)
-	}
-	// Fold counters after the last drain that can touch sh's engine:
-	// forwarded ops bump the children (live in the new map), so sh's
-	// totals are final here.
+	// Fold counters once the forward is set: later ops on sh's keys
+	// bump the children (live in the new map), so sh's totals are
+	// final here.
 	s.foldRetired(sh)
 	// Drop the engine: every key now lives in the children, and no
 	// path reads a forwarded shard's engine (exec and forEachLive both
 	// require forward == nil), so holding it would retain a full
-	// pre-split snapshot per split for as long as the shard stays
-	// reachable through the pipeline's ring history.
+	// pre-split snapshot per split for as long as a stale map snapshot
+	// keeps the shard reachable.
 	sh.eng = nil
 	s.smap.Store(m.withSplit(sh, kids))
 	sh.lock.Release(w)
-	// Sync-wait writes drained during the rendezvous were applied and
-	// logged but not yet durable; their futures were held back so the
-	// drain never fsyncs under sh's lock. Commit and complete them now.
-	s.completePending(pend)
 	return true
 }

@@ -11,8 +11,8 @@
 //     never issues fsync. Commit/Sync perform group commit — the
 //     first waiter becomes the sync leader, flushes and fsyncs once,
 //     and every waiter whose LSN is covered piggybacks on that single
-//     sync. This is what makes durability cost one fsync per combiner
-//     drain instead of one per op.
+//     sync. This is what makes durability cost one fsync per group of
+//     concurrent writers instead of one per op.
 //   - Replay tolerates torn tails and corrupt checksums by truncating
 //     (logical) at the first bad record; it never panics. Checkpoint
 //     files are complete by construction (tmp + fsync + rename), so a
@@ -80,7 +80,8 @@ const (
 
 // Stats is a point-in-time snapshot of a Log's counters.
 // OpsPerFsync (Appended/Syncs) is the group-commit figure of merit:
-// it climbs with the combiner batch size when group commit works.
+// it climbs with the number of writers sharing a sync when group
+// commit works.
 type Stats struct {
 	Appended  uint64 // records appended
 	Syncs     uint64 // fsync batches issued (one per group commit)
