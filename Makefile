@@ -37,7 +37,7 @@ RACE_PKGS = . \
 # no-op when nothing changed).
 REPOLINT = bin/repolint
 
-.PHONY: check build vet lint lint-test fmt-check test short race perfbench-test ci bench bench-json net-smoke wal-smoke soak FORCE
+.PHONY: check build vet lint lint-test fmt-check test short race perfbench-test ci bench bench-json bench-layers net-smoke wal-smoke soak FORCE
 
 check: vet lint lint-test fmt-check build test
 
@@ -174,6 +174,15 @@ ci: check race short perfbench-test net-smoke
 
 bench:
 	$(GO) run ./cmd/kvbench -dur 500ms
+
+# bench-layers runs the per-layer Go benchmarks (ns/op, B/op,
+# allocs/op, five counts each for benchstat): the sharded Range
+# collect-and-merge, the client's Range decode, and the lsm compaction
+# merge. Trend data, not a gate.
+BENCH_LAYER_PKGS = ./internal/shardedkv ./internal/kvserver ./internal/storage/lsm
+
+bench-layers:
+	$(GO) test -run '^$$' -bench . -benchmem -count=5 $(BENCH_LAYER_PKGS)
 
 # bench-json appends one trajectory record per row to
 # BENCH_kvbench.json (CI uploads it as an artifact). The configuration

@@ -218,7 +218,9 @@ func (c *Client) teardown(cause error) {
 
 // readLoop is the response matcher: it owns the read side, pairing
 // response frames to pending calls by id. Each frame is read into a
-// fresh buffer whose ownership passes to the completed call.
+// fresh buffer whose ownership passes to the completed call — the
+// decoded values returned to the caller alias it, so it must never be
+// reused.
 func (c *Client) readLoop() {
 	br := bufio.NewReaderSize(c.conn, 64<<10)
 	for {
@@ -332,7 +334,9 @@ func (c *Client) roundTrip(req *kvserver.Request) (kvserver.Response, error) {
 	return res.resp, nil
 }
 
-// Get reads key k under class.
+// Get reads key k under class. The value aliases the call's own
+// response frame (no copy, and no later call reuses that frame);
+// retaining it retains the frame.
 func (c *Client) Get(class uint8, k uint64) ([]byte, bool, error) {
 	resp, err := c.roundTrip(&kvserver.Request{Op: kvserver.OpGet, Class: class, Key: k})
 	if err != nil {
@@ -360,7 +364,10 @@ func (c *Client) Delete(class uint8, k uint64) (bool, error) {
 	return kvserver.DecodeBoolPayload(resp.Payload)
 }
 
-// MultiGet reads all keys in one request under class.
+// MultiGet reads all keys in one request under class. The values
+// alias the call's own response frame, as in Get: retaining any of
+// them retains the whole frame. Each is capacity-limited, so an
+// append to one never overwrites another.
 func (c *Client) MultiGet(class uint8, keys []uint64) ([][]byte, []bool, error) {
 	resp, err := c.roundTrip(&kvserver.Request{Op: kvserver.OpMultiGet, Class: class, Keys: keys})
 	if err != nil {
@@ -381,7 +388,9 @@ func (c *Client) MultiPut(class uint8, kvs []shardedkv.Pair) (int, error) {
 
 // Range returns pairs in [lo, hi] in ascending key order, at most
 // limit of them (limit 0 = the server's cap). more reports a
-// truncated emission — continue from kvs[len(kvs)-1].Key+1.
+// truncated emission — continue from kvs[len(kvs)-1].Key+1. The
+// values alias the call's own response frame, as in MultiGet:
+// retaining any of them retains the whole frame.
 func (c *Client) Range(class uint8, lo, hi uint64, limit int) (kvs []shardedkv.Pair, more bool, err error) {
 	resp, err := c.roundTrip(&kvserver.Request{Op: kvserver.OpRange, Class: class, Lo: lo, Hi: hi, Limit: uint32(limit)})
 	if err != nil {

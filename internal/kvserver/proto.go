@@ -172,7 +172,7 @@ func (r *rd) bytes(n int) ([]byte, error) {
 	if n < 0 || r.remain() < n {
 		return nil, wireErr("truncated frame: want %d bytes at %d, len %d", n, r.off, len(r.b))
 	}
-	b := r.b[r.off : r.off+n]
+	b := r.b[r.off : r.off+n : r.off+n] // cap-limited: an append copies
 	r.off += n
 	return b, nil
 }
@@ -508,7 +508,12 @@ func DecodeResponse(frame []byte) (Response, error) {
 }
 
 // Payload decoders (client side). Each consumes a StatusOK payload of
-// the corresponding op; results are copied out of the frame buffer.
+// the corresponding op. Returned values alias p, in place: nothing is
+// copied, so a value stays valid exactly as long as the caller keeps
+// p's buffer unmodified (kvclient hands every call a fresh frame), and
+// retaining one value retains the whole frame. Each value is
+// capacity-limited to its own length, so an append to one reallocates
+// instead of overwriting the bytes that follow it in the frame.
 
 // DecodeGetPayload returns (value, found).
 func DecodeGetPayload(p []byte) ([]byte, bool, error) {
@@ -527,7 +532,7 @@ func DecodeGetPayload(p []byte) ([]byte, bool, error) {
 	if f == 0 {
 		return nil, false, nil
 	}
-	return append([]byte(nil), v...), true, nil
+	return v, true, nil
 }
 
 // DecodeBoolPayload returns the single result byte.
@@ -570,7 +575,7 @@ func DecodeMultiGetPayload(p []byte) ([][]byte, []bool, error) {
 		}
 		if f != 0 {
 			found[i] = true
-			vals[i] = append([]byte(nil), v...)
+			vals[i] = v
 		}
 	}
 	if err := r.done(); err != nil {
@@ -592,7 +597,7 @@ func DecodeMultiPutPayload(p []byte) (int, error) {
 	return int(n), nil
 }
 
-// DecodeRangePayload returns the pairs (copied out of the frame).
+// DecodeRangePayload returns the pairs; their values alias p.
 func DecodeRangePayload(p []byte) ([]shardedkv.Pair, error) {
 	r := &rd{b: p}
 	n, err := r.u32()
@@ -611,11 +616,9 @@ func DecodeRangePayload(p []byte) ([]shardedkv.Pair, error) {
 		if kvs[i].Key, err = r.u64(); err != nil {
 			return nil, err
 		}
-		v, err := r.value()
-		if err != nil {
+		if kvs[i].Value, err = r.value(); err != nil {
 			return nil, err
 		}
-		kvs[i].Value = append([]byte(nil), v...)
 	}
 	if err := r.done(); err != nil {
 		return nil, err

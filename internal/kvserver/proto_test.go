@@ -252,3 +252,29 @@ func FuzzDecodeResponsePayloads(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkDecodeRangePayload times the client-side decode of a full
+// 256-pair Range response with 64-byte values (values alias the
+// payload, so the only allocation is the pair slice).
+func BenchmarkDecodeRangePayload(b *testing.B) {
+	kvs := make([]shardedkv.Pair, 256)
+	for i := range kvs {
+		kvs[i] = shardedkv.Pair{Key: uint64(i), Value: make([]byte, 64)}
+	}
+	wire, err := AppendRangeResponse(nil, 1, kvs, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	resp, err := DecodeResponse(wire[4:])
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := DecodeRangePayload(resp.Payload)
+		if err != nil || len(got) != len(kvs) {
+			b.Fatalf("decoded %d pairs, err %v", len(got), err)
+		}
+	}
+}

@@ -463,32 +463,40 @@ func (s *Store) Len(w *core.Worker) int {
 // Range calls fn for every key in [lo, hi] in ascending key order.
 // Keys are hash-distributed, so each shard holds an interleaved slice
 // of the range; Range visits one shard at a time — each shard lock
-// taken exactly once, held only while that shard's slice is collected
-// — then merges the per-shard results in key order before emitting.
-// The view is per-shard consistent, not globally atomic: a writer may
-// land on an unvisited shard mid-scan, the usual contract for sharded
-// scans. fn returning false stops the emission (the collection cost is
-// already paid).
+// taken exactly once, held only while that shard's slice is appended
+// to one shared buffer — and after the last release heap-merges the
+// per-shard runs straight into fn (emitMerged; no merged slice is
+// built). The view is per-shard consistent, not globally atomic: a
+// writer may land on an unvisited shard mid-scan, the usual contract
+// for sharded scans. fn returning false stops the emission (the
+// collection cost is already paid).
 func (s *Store) Range(w *core.Worker, lo, hi uint64, fn func(k uint64, v []byte) bool) {
-	var lists [][]Pair
+	bp := scanBufs.Get().(*[]Pair)
+	buf := (*bp)[:0]
+	ends := make([]int, 0, 32) // one per visited shard; on the stack up to 32
 	s.forEachLive(w, func(sh *shard) {
-		var l []Pair
 		sh.eng.Range(lo, hi, func(k uint64, v []byte) bool {
-			l = append(l, Pair{Key: k, Value: v})
+			buf = append(buf, Pair{Key: k, Value: v})
 			return true
 		})
 		s.pad(w)
 		sh.scans.Add(1)
-		if len(l) > 0 {
-			lists = append(lists, l)
-		}
+		ends = append(ends, len(buf))
 	})
-	for _, kv := range mergeKV(lists) {
-		if !fn(kv.Key, kv.Value) {
-			return
-		}
+	emitMerged(buf, ends, fn)
+	if cap(buf) <= maxPooledScan {
+		clear(buf) // the pool must not pin engine values
+		*bp = buf[:0]
+		scanBufs.Put(bp)
 	}
 }
+
+// scanBufs recycles Range's collection buffers: the merge is the
+// buffer's only reader, so it is free again once Range returns.
+// Buffers grown past maxPooledScan pairs are left to the GC.
+var scanBufs = sync.Pool{New: func() any { return new([]Pair) }}
+
+const maxPooledScan = 4096
 
 // RangeReq is one [Lo, Hi] scan of a batched MultiRange.
 type RangeReq struct{ Lo, Hi uint64 }
@@ -535,57 +543,93 @@ func (s *Store) collectShardRanges(w *core.Worker, sh *shard, reqs []RangeReq, p
 
 // MultiRange executes all range requests in one pass over the shards,
 // grouped by shard like MultiGet: each shard's lock is taken exactly
-// once, and while it is held every request collects that shard's slice
-// of its range. out[i] is request i's result in ascending key order.
-// Requests see the same per-shard-consistent view as Range, and all
-// requests see each shard at the same instant (they share the lock
-// take).
+// once, and while it is held every request appends that shard's slice
+// of its range to the request's own buffer. out[i] is request i's
+// result in ascending key order, heap-merged from those per-shard runs
+// after the last release exactly as Range emits. Requests see the same
+// per-shard-consistent view as Range, and all requests see each shard
+// at the same instant (they share the lock take).
 func (s *Store) MultiRange(w *core.Worker, reqs []RangeReq) [][]Pair {
 	out := make([][]Pair, len(reqs))
 	if len(reqs) == 0 {
 		return out
 	}
-	var perShard [][][]Pair // per visited shard: parts per request
+	bufs := make([][]Pair, len(reqs)) // per request: every shard's run, back to back
+	ends := make([][]int, len(reqs))  // per request: each run's end in bufs[i]
 	s.forEachLive(w, func(sh *shard) {
-		parts := make([][]Pair, len(reqs))
-		s.collectShardRanges(w, sh, reqs, parts)
+		s.collectShardRanges(w, sh, reqs, bufs)
 		sh.batches.Add(1)
-		perShard = append(perShard, parts)
-	})
-	lists := make([][]Pair, len(perShard))
-	for ri := range reqs {
-		for si, parts := range perShard {
-			lists[si] = parts[ri]
+		for ri := range ends {
+			ends[ri] = append(ends[ri], len(bufs[ri]))
 		}
-		out[ri] = mergeKV(lists)
+	})
+	for ri, buf := range bufs {
+		if len(buf) == 0 {
+			continue
+		}
+		res := make([]Pair, 0, len(buf))
+		emitMerged(buf, ends[ri], func(k uint64, v []byte) bool {
+			res = append(res, Pair{Key: k, Value: v})
+			return true
+		})
+		out[ri] = res
 	}
 	return out
 }
 
-// mergeKV merges per-shard sorted KV lists into one ascending list.
-// Shard counts are small, so a select-the-min pass beats heap
-// bookkeeping.
-func mergeKV(lists [][]Pair) []Pair {
-	total := 0
-	for _, l := range lists {
-		total += len(l)
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]Pair, 0, total)
-	idx := make([]int, len(lists))
-	for len(out) < total {
-		best := -1
-		for i, l := range lists {
-			if idx[i] < len(l) && (best < 0 || l[idx[i]].Key < lists[best][idx[best]].Key) {
-				best = i
-			}
+// runCursor is one shard's run inside a scan buffer: the index of its
+// next unemitted pair and the run's end.
+type runCursor struct{ pos, end int }
+
+// emitMerged emits the runs of buf — run i is buf[ends[i-1]:ends[i]],
+// run 0 starting at 0, each in ascending key order — through fn in
+// ascending key order, stopping when fn returns false. A binary
+// min-heap of run cursors, keyed on each run's next key, does the
+// k-way merge: O(log runs) compares per emitted pair and no merged
+// copy of buf. Empty runs are skipped. Callers hold no shard lock (fn
+// is the user callback).
+func emitMerged(buf []Pair, ends []int, fn func(k uint64, v []byte) bool) {
+	var stack [32]runCursor
+	h := stack[:0]
+	start := 0
+	for _, end := range ends {
+		if end > start {
+			h = append(h, runCursor{pos: start, end: end})
 		}
-		out = append(out, lists[best][idx[best]])
-		idx[best]++
+		start = end
 	}
-	return out
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftRun(buf, h, i)
+	}
+	for len(h) > 0 {
+		top := &h[0]
+		if p := buf[top.pos]; !fn(p.Key, p.Value) {
+			return
+		}
+		if top.pos++; top.pos == top.end {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
+		}
+		siftRun(buf, h, 0)
+	}
+}
+
+// siftRun restores the min-heap order of h below index i.
+func siftRun(buf []Pair, h []runCursor, i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
+		}
+		if r := m + 1; r < len(h) && buf[h[r].pos].Key < buf[h[m].pos].Key {
+			m = r
+		}
+		if buf[h[i].pos].Key <= buf[h[m].pos].Key {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // idxGroup is one batched-op work unit: the batch indices routed to

@@ -180,26 +180,75 @@ func (s *Store) freeze() {
 // always installed as the bottom-most run of the stack, so tombstones
 // are resolved here and dropped: a deleted key vanishes from the
 // output instead of shadowing runs that no longer exist below it.
+//
+// The merge is one k-way pass over the already-sorted runs: a min-heap
+// of run cursors ordered by (next key, run age) pops every copy of a
+// key newest first, so the first copy popped supplies the value (first
+// holder wins) and the older copies behind it are skipped. The output
+// is presized to the input's entry count, an upper bound.
 func mergeRuns(rs []*run) *run {
-	seen := map[uint64][]byte{}
-	order := []uint64{}
-	for _, r := range rs { // newest first: first write wins
-		for i, k := range r.keys {
-			if _, ok := seen[k]; !ok {
-				seen[k] = r.values[i]
-				order = append(order, k)
+	total := 0
+	h := make([]mergeCursor, 0, len(rs))
+	for age, r := range rs {
+		total += len(r.keys)
+		if len(r.keys) > 0 {
+			h = append(h, mergeCursor{r: r, age: age})
+		}
+	}
+	out := &run{keys: make([]uint64, 0, total), values: make([][]byte, 0, total)}
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		siftCursor(h, i)
+	}
+	var last uint64
+	first := true
+	for len(h) > 0 {
+		c := &h[0]
+		if k := c.r.keys[c.pos]; first || k != last {
+			first, last = false, k
+			if v := c.r.values[c.pos]; !isTomb(v) {
+				out.keys = append(out.keys, k)
+				out.values = append(out.values, v)
 			}
 		}
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	out := &run{}
-	for _, k := range order {
-		if v := seen[k]; !isTomb(v) {
-			out.keys = append(out.keys, k)
-			out.values = append(out.values, v)
+		if c.pos++; c.pos == len(c.r.keys) {
+			h[0] = h[len(h)-1]
+			h = h[:len(h)-1]
 		}
+		siftCursor(h, 0)
 	}
 	return out
+}
+
+// mergeCursor is one run's read position in mergeRuns; age is the
+// run's index in the newest-first stack (lower is newer).
+type mergeCursor struct {
+	r   *run
+	age int
+	pos int
+}
+
+// before orders cursors by next key, newest run first on a tie.
+func (c *mergeCursor) before(d *mergeCursor) bool {
+	ck, dk := c.r.keys[c.pos], d.r.keys[d.pos]
+	return ck < dk || ck == dk && c.age < d.age
+}
+
+// siftCursor restores the min-heap order of h below index i.
+func siftCursor(h []mergeCursor, i int) {
+	for {
+		m := 2*i + 1
+		if m >= len(h) {
+			return
+		}
+		if r := m + 1; r < len(h) && h[r].before(&h[m]) {
+			m = r
+		}
+		if !h[m].before(&h[i]) {
+			return
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
 }
 
 // Compact freezes the memtable and folds the whole run stack into one

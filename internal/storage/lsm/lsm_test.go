@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/prng"
+	"repro/internal/storage/skiplist"
 )
 
 func TestPutGet(t *testing.T) {
@@ -386,5 +387,39 @@ func TestLoadShadowsAndCounts(t *testing.T) {
 	s.Put(3, []byte{44})
 	if v, _ := s.Get(3); v[0] != 44 {
 		t.Fatalf("post-load Put lost: %v", v)
+	}
+}
+
+// BenchmarkMergeRuns times the compaction merge freeze runs when the
+// stack passes six runs: three overlapping 4096-entry runs (random keys
+// below 8192, tombstones on the multiples of 8) folded into one
+// bottom-most run.
+func BenchmarkMergeRuns(b *testing.B) {
+	rng := prng.NewXoshiro256(3)
+	rs := make([]*run, 3)
+	for i := range rs {
+		m := skiplist.New(uint64(i) + 1)
+		for m.Len() < 4096 {
+			k := prng.Uint64n(rng, 8192)
+			if k%8 == 0 {
+				m.Put(k, tombstone)
+			} else {
+				m.Put(k, make([]byte, 64))
+			}
+		}
+		r := &run{}
+		m.Scan(func(k uint64, v []byte) bool {
+			r.keys = append(r.keys, k)
+			r.values = append(r.values, v)
+			return true
+		})
+		rs[i] = r
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if out := mergeRuns(rs); len(out.keys) == 0 {
+			b.Fatal("empty merge")
+		}
 	}
 }
